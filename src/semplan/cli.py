@@ -33,7 +33,7 @@ from .errors import (
 from .geometry import Point2
 from .nav import plan_path
 from .scorer import LlmScorer, ScriptedScorer, load_scenario
-from .semantic_map import load_map, map_warnings, semantic_location, set_door_passable
+from .semantic_map import _point_doc, load_map, map_warnings, semantic_location, set_door_passable
 from .sim import check_goal, load_world, run_plan
 from .skills import (
     DEFAULT_MAX_STEPS,
@@ -69,10 +69,6 @@ def _emit(doc: dict, human_lines, fmt: str) -> None:
 
 def _read(path: str) -> str:
     return Path(path).read_text()
-
-
-def _point_doc(point: Point2) -> list:
-    return [point.x, point.y]
 
 
 def cmd_map_validate(args) -> int:
@@ -266,10 +262,7 @@ def _plan_lines(command, trace, exec_trace) -> list:
     lines.append("plan:")
     for i, (skill, scores) in enumerate(zip(trace.steps, trace.step_scores), 1):
         lines.append(f"  {i}. {skill.to_text()}  (p={scores[skill]:.4f})")
-    lines.append("execution:")
-    for i, (skill, outcome) in enumerate(exec_trace.steps, 1):
-        state = "Ok" if outcome.ok else f"Failed({outcome.reason})"
-        lines.append(f"  {i}. {skill.to_text()}  {state}")
+    lines.extend(_exec_lines(exec_trace, None))
     world = exec_trace.final
     held = world.held if world.held else "nothing"
     lines.append(
@@ -410,3 +403,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

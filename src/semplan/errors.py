@@ -65,10 +65,6 @@ class UnresolvedAmbiguity(SemplanError):
     """Clarification oracle could not supply a usable proper noun."""
 
 
-class EmptyCandidateSet(SemplanError):
-    """No admissible skill candidates; cannot happen while done is admissible."""
-
-
 class PlanTooLong(SemplanError):
     """done was not selected within the step budget."""
 

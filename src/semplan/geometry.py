@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DegeneratePolygon, InvalidPolygon
@@ -140,6 +141,19 @@ class Polygon2:
         n = len(self.vertices)
         for i in range(n):
             yield self.vertices[i], self.vertices[(i + 1) % n]
+
+    @cached_property
+    def _near_box(self) -> tuple[float, float, float, float]:
+        # segment_distance rounds by a few ulps of the coordinates, so a point
+        # just past BOUNDARY_EPS can still test as BOUNDARY: pad ~45 ulps more.
+        xs, ys = sorted([v.x for v in self.vertices]), sorted([v.y for v in self.vertices])
+        pad = BOUNDARY_EPS + 1e-14 * max(-xs[0], -ys[0], xs[-1], ys[-1])
+        return xs[0] - pad, ys[0] - pad, xs[-1] + pad, ys[-1] + pad
+
+    def near(self, p: Point2) -> bool:
+        """False only for p more than BOUNDARY_EPS outside the bounding box: OUTSIDE."""
+        x0, y0, x1, y1 = self._near_box
+        return x0 <= p.x <= x1 and y0 <= p.y <= y1
 
 
 def _check_simple(verts: tuple[Point2, ...]) -> None:

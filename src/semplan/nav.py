@@ -2,10 +2,12 @@
 
 Rooms are treated as free space: travel inside one room is a straight
 line, so a path is fully described by the sequence of doors it passes
-through. The planner builds a small graph over the start point, the goal
-anchor, and every passable door, then runs Dijkstra with a lexicographic
-tie-break on the door-name sequence so equal-length alternatives resolve
-deterministically.
+through. The planner builds a graph over the start point, the goal anchor
+and every passable door, buckets the nodes by room and joins nodes only
+within a bucket; a node's edges are computed when Dijkstra first expands
+it. Dijkstra breaks ties lexicographically on the door-name sequence, so
+equal-length alternatives resolve deterministically, and keeps one parent
+pointer per node to rebuild the route once, at the goal.
 """
 
 from __future__ import annotations
@@ -50,11 +52,26 @@ class Path:
 
 @dataclass(frozen=True)
 class DoorGraph:
+    """Start, goal and passable doors; edges join nodes sharing a room."""
+
     nodes: dict
     edges: dict
+    buckets: dict  # room name -> ids of the nodes in that room
 
     def neighbours(self, node_id: NodeId):
-        return self.edges[node_id]
+        """(neighbour id, edge length) pairs, sorted by neighbour id."""
+        found = self.edges.get(node_id)
+        if found is None:
+            node = self.nodes[node_id]
+            joined = set()
+            for room in node.rooms:
+                joined.update(self.buckets[room])
+            joined.discard(node_id)
+            found = self.edges[node_id] = [
+                (other, euclidean(node.anchor, self.nodes[other].anchor))
+                for other in sorted(joined)
+            ]
+        return found
 
 
 def _endpoint_node(smap: SemanticMap, kind: str, point: Point2) -> NavNode:
@@ -78,23 +95,11 @@ def build_door_graph(smap: SemanticMap, start: Point2, goal_anchor: Point2) -> D
                 rooms=frozenset(door.connects),
                 door_name=door.name,
             )
-
-    edges = {node_id: [] for node_id in nodes}
-    ids = sorted(nodes)
-    for i, id_a in enumerate(ids):
-        for id_b in ids[i + 1 :]:
-            a, b = nodes[id_a], nodes[id_b]
-            if a.rooms & b.rooms:
-                weight = euclidean(a.anchor, b.anchor)
-                edges[id_a].append((id_b, weight))
-                edges[id_b].append((id_a, weight))
-    return DoorGraph(nodes=nodes, edges=edges)
-
-
-def _resolve_goal(smap: SemanticMap, goal: Union[str, Point2]) -> Point2:
-    if isinstance(goal, Point2):
-        return goal
-    return furniture_anchor(smap, goal)
+    buckets: dict = {}
+    for node_id, node in nodes.items():
+        for room in node.rooms:
+            buckets.setdefault(room, []).append(node_id)
+    return DoorGraph(nodes=nodes, edges={}, buckets=buckets)
 
 
 def plan_path(smap: SemanticMap, start: Point2, goal: Union[str, Point2]) -> Path:
@@ -103,26 +108,27 @@ def plan_path(smap: SemanticMap, start: Point2, goal: Union[str, Point2]) -> Pat
     Dijkstra over the door graph. Among equal-length routes the one whose
     door-name sequence sorts first wins, so repeated runs agree bytewise.
     """
-    goal_anchor = _resolve_goal(smap, goal)
+    goal_anchor = goal if isinstance(goal, Point2) else furniture_anchor(smap, goal)
     graph = build_door_graph(smap, start, goal_anchor)
 
     start_id: NodeId = (START,)
     goal_id: NodeId = (GOAL,)
     # Priority = (distance, door-name sequence); the sequence settles ties.
     best: dict[NodeId, tuple[float, tuple[str, ...]]] = {start_id: (0.0, ())}
-    queue: list[tuple[float, tuple[str, ...], NodeId, tuple[NodeId, ...]]] = [
-        (0.0, (), start_id, (start_id,))
-    ]
+    parent: dict[NodeId, NodeId] = {}
+    queue: list[tuple[float, tuple[str, ...], NodeId]] = [(0.0, (), start_id)]
     settled: set[NodeId] = set()
 
     while queue:
-        dist, names, node_id, route = heapq.heappop(queue)
+        dist, names, node_id = heapq.heappop(queue)
         if node_id in settled:
             continue
         settled.add(node_id)
         if node_id == goal_id:
-            waypoints = tuple(graph.nodes[i] for i in route)
-            return Path(waypoints=waypoints, length=dist)
+            route = [node_id]
+            while route[-1] != start_id:
+                route.append(parent[route[-1]])
+            return Path(tuple(graph.nodes[i] for i in reversed(route)), length=dist)
         for next_id, weight in graph.neighbours(node_id):
             if next_id in settled:
                 continue
@@ -130,9 +136,8 @@ def plan_path(smap: SemanticMap, start: Point2, goal: Union[str, Point2]) -> Pat
             candidate = (dist + weight, next_names)
             if next_id not in best or candidate < best[next_id]:
                 best[next_id] = candidate
-                heapq.heappush(
-                    queue, (candidate[0], candidate[1], next_id, route + (next_id,))
-                )
+                parent[next_id] = node_id
+                heapq.heappush(queue, (candidate[0], candidate[1], next_id))
 
     raise NoPath(f"no passable-door route from {start} to {goal_anchor}")
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Optional, Union
+from functools import cached_property
+from typing import IO, Iterable, NamedTuple, Optional, Union
 
 from .errors import (
     InvalidPolygon,
@@ -57,29 +58,34 @@ class SemanticLocation:
     furniture: Optional[str] = None
 
 
+class MapIndex(NamedTuple):
+    """SemanticMap.index, built on first use: rooms, furniture and doors by name."""
+
+    rooms: dict
+    furniture: dict
+    doors: dict
+
+
 @dataclass(frozen=True)
 class SemanticMap:
     rooms: tuple[Room, ...]
     furniture: tuple[Furniture, ...]
     doors: tuple[Door, ...]
 
-    def room(self, name: str) -> Room:
-        for r in self.rooms:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+    @cached_property
+    def index(self) -> MapIndex:
+        groups = (self.rooms, self.furniture, self.doors)
+        return MapIndex(*({e.name: e for e in group} for group in groups))
 
     def find_furniture(self, name: str) -> Furniture:
-        for f in self.furniture:
-            if f.name == name:
-                return f
-        raise UnknownFurniture(name)
+        if name not in self.index.furniture:
+            raise UnknownFurniture(name)
+        return self.index.furniture[name]
 
     def find_door(self, name: str) -> Door:
-        for d in self.doors:
-            if d.name == name:
-                return d
-        raise UnknownDoor(name)
+        if name not in self.index.doors:
+            raise UnknownDoor(name)
+        return self.index.doors[name]
 
 
 def make_map(
@@ -258,7 +264,7 @@ def room_of(smap: SemanticMap, p: Point2) -> Optional[str]:
     name wins. Rooms are stored sorted, so the first hit is the answer.
     """
     for r in smap.rooms:
-        if point_in_polygon(p, r.contour) is not Containment.OUTSIDE:
+        if r.contour.near(p) and point_in_polygon(p, r.contour) is not Containment.OUTSIDE:
             return r.name
     return None
 
@@ -296,7 +302,8 @@ def map_warnings(smap: SemanticMap) -> list[str]:
     warnings = []
     for d in smap.doors:
         contained = any(
-            point_in_polygon(d.position, smap.room(name).contour) is not Containment.OUTSIDE
+            point_in_polygon(d.position, smap.index.rooms[name].contour)
+            is not Containment.OUTSIDE
             for name in d.connects
         )
         if not contained:

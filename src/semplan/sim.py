@@ -83,11 +83,10 @@ def load_world(smap: SemanticMap, source: Union[str, IO]) -> WorldState:
     objects = doc.get("objects", {})
     if not isinstance(objects, dict):
         raise ParseError("objects must be an object of name -> furniture")
-    known_furniture = {f.name for f in smap.furniture}
     for name, furniture in objects.items():
         if not isinstance(name, str) or not isinstance(furniture, str):
             raise ParseError(f"malformed object placement: {name!r}")
-        if furniture not in known_furniture:
+        if furniture not in smap.index.furniture:
             raise ValidationError(name, f"unknown furniture {furniture!r}")
 
     def read_point(key: str) -> Point2:
@@ -113,13 +112,10 @@ def load_world(smap: SemanticMap, source: Union[str, IO]) -> WorldState:
 def _resolve_location(smap: SemanticMap, world: WorldState, name: str) -> Optional[Point2]:
     if name == "operator":
         return world.operator
-    for furniture in smap.furniture:
-        if furniture.name == name:
-            return furniture_anchor(smap, name)
-    for room in smap.rooms:
-        if room.name == name:
-            return centroid(room.contour)
-    return None
+    if name in smap.index.furniture:
+        return furniture_anchor(smap, name)
+    room = smap.index.rooms.get(name)
+    return None if room is None else centroid(room.contour)
 
 
 def _go_to(smap: SemanticMap, world: WorldState, target: Point2):
@@ -172,7 +168,7 @@ def apply_skill(smap: SemanticMap, world: WorldState, skill: SkillInstance):
         furniture_name = skill.args[0]
         if world.held is None:
             return world, SkillOutcome.failed(NOTHING_HELD)
-        if not any(f.name == furniture_name for f in smap.furniture):
+        if furniture_name not in smap.index.furniture:
             return world, SkillOutcome.failed(UNKNOWN_LOCATION)
         if smap.find_furniture(furniture_name).room != room_of(smap, world.robot):
             return world, SkillOutcome.failed(NOT_IN_ROOM)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,20 @@ class TestMapValidate:
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 2
         assert main(["map"]) == 2
+
+    @pytest.mark.parametrize("module", ["semplan.cli", "semplan"])
+    def test_python_m_runs_the_cli(self, fixtures_dir, capsys, module):
+        argv = ["map", "validate", maps(fixtures_dir, "golden_arena.json")]
+        assert main(argv) == 0
+        in_process = capsys.readouterr().out
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout and proc.stdout == in_process
 
 
 class TestLocate:

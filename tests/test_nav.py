@@ -9,6 +9,7 @@ from semplan.nav import (
     DOOR,
     GOAL,
     START,
+    NavNode,
     Path,
     build_door_graph,
     path_length,
@@ -70,6 +71,57 @@ class TestBuildDoorGraph:
         with pytest.raises(OutsideArena) as err:
             build_door_graph(two_room, Point2(0, 0), Point2(100, 100))
         assert err.value.which == "goal"
+
+
+def all_pairs_neighbours(nodes):
+    """O(D^2) reference edges: every two nodes that share a room, by node id."""
+    ids = sorted(nodes)
+    expected = {node_id: [] for node_id in ids}
+    for i, id_a in enumerate(ids):
+        for id_b in ids[i + 1 :]:
+            if nodes[id_a].rooms & nodes[id_b].rooms:
+                weight = euclidean(nodes[id_a].anchor, nodes[id_b].anchor)
+                expected[id_a].append((id_b, weight))
+                expected[id_b].append((id_a, weight))
+    return expected
+
+
+class TestPerRoomJoins:
+    def test_neighbours_match_all_pairs_reference(self):
+        rng = random.Random(2410)
+        seen = {"parallel doors": 0, "same room": 0, "endpoint in doorless room": 0}
+        for _ in range(80):
+            doc, doors, cells = random_grid_map(rng)
+            smap = load_map(json.dumps(doc))
+            rooms = sorted(cells)
+            open_pairs = [pair for _, _, pair, passable in doors if passable]
+            seen["parallel doors"] += len(open_pairs) > len(set(open_pairs))
+            doorless = {r for r in rooms if not any(r in pair for pair in open_pairs)}
+            for _ in range(3):
+                start_room = rng.choice(rooms)
+                goal_room = start_room if rng.random() < 0.3 else rng.choice(rooms)
+                start = Point2(*random_point_in(rng, cells, start_room))
+                goal = Point2(*random_point_in(rng, cells, goal_room))
+                seen["same room"] += start_room == goal_room
+                seen["endpoint in doorless room"] += bool({start_room, goal_room} & doorless)
+
+                nodes = {
+                    (START,): NavNode(START, start, frozenset((start_room,))),
+                    (GOAL,): NavNode(GOAL, goal, frozenset((goal_room,))),
+                }
+                for name, position, pair, passable in doors:
+                    if passable:
+                        nodes[(DOOR, name)] = NavNode(DOOR, Point2(*position), pair, name)
+                expected = all_pairs_neighbours(nodes)
+
+                graph = build_door_graph(smap, start, goal)
+                assert graph.nodes == nodes
+                order = sorted(nodes)
+                rng.shuffle(order)
+                for node_id in order:
+                    assert graph.neighbours(node_id) == expected[node_id]
+                    assert graph.neighbours(node_id) is graph.neighbours(node_id)
+        assert all(seen.values()), seen
 
 
 class TestPlanPath:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,7 +9,13 @@ from semplan.errors import (
     UnknownFurniture,
     ValidationError,
 )
-from semplan.geometry import Containment, Point2, point_in_polygon, validate_polygon
+from semplan.geometry import (
+    BOUNDARY_EPS,
+    Containment,
+    Point2,
+    point_in_polygon,
+    validate_polygon,
+)
 from semplan.semantic_map import (
     Door,
     Furniture,
@@ -196,6 +203,30 @@ class TestRoomOf:
             ]
         )
         assert room_of(overlapping, Point2(3, 2)) == "alpha"
+
+    def test_within_eps_outside_bounding_box_is_boundary(self):
+        smap = make_map(rooms=[Room("studio", validate_polygon([(0, 0), (4, 0), (4, 4), (0, 4)]))])
+        half = BOUNDARY_EPS / 2
+        for x, y in ((4 + half, 2), (-half, 2), (2, 4 + half), (2, -half), (4 + half, 4 + half)):
+            assert room_of(smap, Point2(x, y)) == "studio"
+        assert room_of(smap, Point2(4 + 2 * BOUNDARY_EPS, 2)) is None
+
+    def test_matches_containment_ulps_either_side_of_eps(self):
+        # Edge-distance rounding decides these points; room_of must agree
+        # with point_in_polygon on every one of them.
+        rng = random.Random(17)
+        for _ in range(400):
+            contour = validate_polygon([(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)])
+            smap = make_map(rooms=[Room("r", contour)])
+            for axis, sign in ((0, 1), (0, -1), (1, 1), (1, -1)):
+                vertex = max(contour.vertices, key=lambda v: sign * (v.x, v.y)[axis])
+                coords = [vertex.x, vertex.y]
+                coords[axis] += sign * BOUNDARY_EPS
+                for _ in range(6):
+                    p = Point2(*coords)
+                    inside = point_in_polygon(p, contour) is not Containment.OUTSIDE
+                    assert room_of(smap, p) == ("r" if inside else None)
+                    coords[axis] = math.nextafter(coords[axis], sign * math.inf)
 
 
 class TestSemanticLocation:
