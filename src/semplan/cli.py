@@ -15,22 +15,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import (
-    ConfigMissing,
-    InvalidGoalSpec,
-    NoPath,
-    OutsideArena,
-    ParseError,
-    PlanTooLong,
-    ScorerFailure,
-    SemplanError,
-    UnknownDoor,
-    UnknownFurniture,
-    UnknownSkill,
-    UnresolvedAmbiguity,
-    ValidationError,
-)
-from .geometry import Point2
+from .errors import NoPath, ParseError, PlanTooLong, ScorerFailure, SemplanError
+from .jsondoc import load_object, parse_point
 from .nav import plan_path
 from .scorer import LlmScorer, ScriptedScorer, load_scenario
 from .semantic_map import _point_doc, load_map, map_warnings, semantic_location, set_door_passable
@@ -44,18 +30,6 @@ from .skills import (
     resolve_ambiguity,
 )
 
-INPUT_ERRORS = (
-    ParseError,
-    ValidationError,
-    ConfigMissing,
-    UnknownFurniture,
-    UnknownDoor,
-    UnknownSkill,
-    OutsideArena,
-    UnresolvedAmbiguity,
-    InvalidGoalSpec,
-    OSError,
-)
 PLANNING_ERRORS = (NoPath, PlanTooLong, ScorerFailure)
 
 
@@ -68,7 +42,10 @@ def _emit(doc: dict, human_lines, fmt: str) -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except ValueError as err:  # undecodable bytes, or a NUL in the path
+        raise ParseError(f"cannot read {path!r}: {err}") from None
 
 
 def cmd_map_validate(args) -> int:
@@ -92,7 +69,7 @@ def cmd_map_validate(args) -> int:
 
 def cmd_locate(args) -> int:
     smap = load_map(_read(args.map))
-    location = semantic_location(smap, Point2(args.x, args.y))
+    location = semantic_location(smap, parse_point([args.x, args.y], "point"))
     doc = {"room": location.room, "furniture": location.furniture}
     if location.room is None:
         _emit(doc, ["unknown"], args.format)
@@ -108,9 +85,10 @@ def _parse_goal(text: str):
     parts = text.split(",")
     if len(parts) == 2:
         try:
-            return Point2(float(parts[0]), float(parts[1]))
+            coords = [float(part) for part in parts]
         except ValueError:
-            pass
+            return text
+        return parse_point(coords, "goal")
     return text
 
 
@@ -143,7 +121,7 @@ def cmd_plan_path(args) -> int:
     for name in args.close_door:
         smap = set_door_passable(smap, name, False)
     goal = _parse_goal(args.goal)
-    path = plan_path(smap, Point2(args.start[0], args.start[1]), goal)
+    path = plan_path(smap, parse_point(args.start, "start"), goal)
     _emit(_path_doc(path), _path_lines(path), args.format)
     return 0
 
@@ -151,15 +129,8 @@ def cmd_plan_path(args) -> int:
 def load_scenario_config(path: str) -> dict:
     """Parse a scenario file; relative paths resolve against its directory."""
     base = Path(path).parent
-    try:
-        doc = json.loads(_read(path))
-    except json.JSONDecodeError as err:
-        raise ParseError(f"scenario config is not valid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise ParseError("scenario config must be an object")
-    unknown = set(doc) - {"map", "world", "command", "scorer", "max_steps", "format"}
-    if unknown:
-        raise ParseError(f"unknown scenario config keys: {sorted(unknown)}")
+    keys = ("map", "world", "command", "scorer", "max_steps", "format")
+    doc = load_object(_read(path), keys, "scenario config")
     for key in ("map", "world", "command"):
         if not isinstance(doc.get(key), str):
             raise ParseError(f"scenario config needs a {key} string")
@@ -393,10 +364,7 @@ def main(argv=None) -> int:
     except PLANNING_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except INPUT_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except SemplanError as err:
+    except (SemplanError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

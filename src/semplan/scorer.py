@@ -8,7 +8,6 @@ endpoint and scores each candidate as exp(sum of its suffix logprobs).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -19,6 +18,7 @@ from typing import IO, Union
 import requests
 
 from .errors import ConfigMissing, ParseError, ScorerFailure
+from .jsondoc import check_object, finite, load_object
 
 PROMPT_TEMPLATE_ID = "skill-seq-v1"
 
@@ -76,35 +76,21 @@ class ScriptedScenario:
 
 
 def load_scenario(source: Union[str, IO]) -> ScriptedScenario:
-    text = source if isinstance(source, str) else source.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"scenario is not valid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be an object")
-    unknown = set(doc) - {"command", "rows"}
-    if unknown:
-        raise ParseError(f"unknown scenario keys: {sorted(unknown)}")
+    doc = load_object(source, ("command", "rows"), "scenario")
     command = doc.get("command")
     rows_raw = doc.get("rows")
     if not isinstance(command, str) or not isinstance(rows_raw, list):
         raise ParseError("scenario needs a command string and a rows array")
     rows = []
+    row_keys = ("history_length", "scores")
     for i, row in enumerate(rows_raw):
-        if not isinstance(row, dict) or set(row) != {"history_length", "scores"}:
-            raise ParseError(f"row {i} must have history_length and scores")
+        check_object(row, row_keys, f"row {i}", row_keys)
         if row["history_length"] != i:
             raise ParseError(f"row {i} has history_length {row['history_length']}")
         scores = row["scores"]
         if not isinstance(scores, dict) or not scores:
             raise ParseError(f"row {i} scores must be a nonempty object")
-        for key, value in scores.items():
-            if not isinstance(key, str) or isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                raise ParseError(f"row {i} has a malformed score entry: {key!r}")
-        rows.append({k: float(v) for k, v in scores.items()})
+        rows.append({k: finite(v, f"row {i} score {k}") for k, v in scores.items()})
     return ScriptedScenario(command=command, rows=tuple(rows))
 
 
@@ -175,15 +161,15 @@ def build_prompt(command: str, history: tuple) -> str:
 def _suffix_logprob_sum(payload: dict, prefix_len: int) -> float:
     try:
         logprobs = payload["choices"][0]["logprobs"]
-        offsets = logprobs["text_offset"]
-        token_logprobs = logprobs["token_logprobs"]
-    except (KeyError, IndexError, TypeError) as err:
+        tokens = zip(logprobs["text_offset"], logprobs["token_logprobs"], strict=True)
+        suffix = [logprob for offset, logprob in tokens if offset >= prefix_len]
+    except (KeyError, IndexError, TypeError, ValueError) as err:
         raise ScorerFailure(f"malformed completion reply: {err!r}") from err
+    if not suffix:
+        raise ScorerFailure("reply has no tokens for the candidate")
     total = 0.0
-    for offset, logprob in zip(offsets, token_logprobs):
-        if offset < prefix_len:
-            continue
-        if logprob is None or not math.isfinite(logprob):
+    for logprob in suffix:
+        if not isinstance(logprob, (int, float)) or not math.isfinite(logprob):
             raise ScorerFailure("missing logprob for a candidate token")
         total += logprob
     return total

@@ -29,6 +29,7 @@ from .geometry import (
     point_in_polygon,
     validate_polygon,
 )
+from .jsondoc import check_object, load_object, parse_point
 
 
 @dataclass(frozen=True)
@@ -136,90 +137,58 @@ def make_map(
     return SemanticMap(rooms=rooms, furniture=furniture, doors=doors)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParseError(message)
-
-
-def _parse_point(raw, context: str) -> Point2:
-    _require(
-        isinstance(raw, list) and len(raw) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw),
-        f"{context}: expected [x, y]",
-    )
-    try:
-        return Point2(float(raw[0]), float(raw[1]))
-    except ValueError as exc:
-        raise ValidationError(context, str(exc)) from None
-
-
 def _parse_contour(raw, entity: str) -> Polygon2:
-    _require(isinstance(raw, list), f"{entity}: contour must be an array")
-    points = [_parse_point(v, f"{entity} contour") for v in raw]
+    if not isinstance(raw, list):
+        raise ParseError(f"{entity}: contour must be an array")
+    points = [parse_point(v, f"{entity} contour") for v in raw]
     try:
         return validate_polygon(points)
     except InvalidPolygon as exc:
         raise ValidationError(entity, f"invalid contour: {exc.reason}") from None
 
 
-def _parse_entry(raw, keys: dict, label: str) -> dict:
-    _require(isinstance(raw, dict), f"{label} entry must be an object")
-    name = raw.get("name")
-    _require(isinstance(name, str), f"{label} entry missing string name")
-    for key in raw:
-        _require(key in keys, f"{label} {name}: unexpected key {key!r}")
-    for key, required in keys.items():
-        if required:
-            _require(key in raw, f"{label} {name}: missing key {key!r}")
-    return raw
+def _parse_entries(doc: dict, key: str, required: tuple, optional: tuple = ()):
+    """(name, entry) for each object in the array doc[key]."""
+    raw = doc.get(key, [])
+    if not isinstance(raw, list):
+        raise ParseError(f"{key} must be an array")
+    for i, entry in enumerate(raw):
+        check_object(entry, required + optional, f"{key}[{i}]", required)
+        if not isinstance(entry["name"], str):
+            raise ParseError(f"{key}[{i}]: name must be a string")
+        yield entry["name"], entry
 
 
 def load_map(document: Union[str, IO[str]]) -> SemanticMap:
     """Parse and validate a map document (JSON text or a readable stream)."""
-    text = document if isinstance(document, str) else document.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from None
-    _require(isinstance(doc, dict), "top level must be an object")
-    for key in doc:
-        _require(key in ("rooms", "furniture", "doors"), f"unexpected top-level key {key!r}")
-
-    rooms = []
-    for raw in doc.get("rooms", []):
-        entry = _parse_entry(raw, {"name": True, "contour": True}, "room")
-        rooms.append(Room(entry["name"], _parse_contour(entry["contour"], entry["name"])))
+    doc = load_object(document, ("rooms", "furniture", "doors"), "map")
+    rooms = [
+        Room(name, _parse_contour(entry["contour"], name))
+        for name, entry in _parse_entries(doc, "rooms", ("name", "contour"))
+    ]
 
     furniture = []
-    for raw in doc.get("furniture", []):
-        entry = _parse_entry(raw, {"name": True, "room": True, "contour": True}, "furniture")
-        _require(isinstance(entry["room"], str), f"furniture {entry['name']}: room must be a string")
-        furniture.append(
-            Furniture(
-                entry["name"], entry["room"], _parse_contour(entry["contour"], entry["name"])
-            )
-        )
+    for name, entry in _parse_entries(doc, "furniture", ("name", "room", "contour")):
+        if not isinstance(entry["room"], str):
+            raise ParseError(f"furniture {name}: room must be a string")
+        furniture.append(Furniture(name, entry["room"], _parse_contour(entry["contour"], name)))
 
     doors = []
-    for raw in doc.get("doors", []):
-        entry = _parse_entry(
-            raw,
-            {"name": True, "position": True, "connects": True, "passable": False},
-            "door",
-        )
-        name = entry["name"]
+    door_keys = ("name", "position", "connects")
+    for name, entry in _parse_entries(doc, "doors", door_keys, ("passable",)):
         connects = entry["connects"]
-        _require(
+        if not (
             isinstance(connects, list) and len(connects) == 2
-            and all(isinstance(r, str) for r in connects),
-            f"door {name}: connects must be [room, room]",
-        )
+            and all(isinstance(r, str) for r in connects)
+        ):
+            raise ParseError(f"door {name}: connects must be [room, room]")
         passable = entry.get("passable", True)
-        _require(isinstance(passable, bool), f"door {name}: passable must be a boolean")
+        if not isinstance(passable, bool):
+            raise ParseError(f"door {name}: passable must be a boolean")
         doors.append(
             Door(
                 name,
-                _parse_point(entry["position"], f"door {name} position"),
+                parse_point(entry["position"], f"door {name} position"),
                 (connects[0], connects[1]),
                 passable,
             )

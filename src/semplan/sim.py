@@ -9,13 +9,13 @@ whole plan can be folded into a trace.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, replace
 from typing import IO, Optional, Union
 
 from .errors import InvalidGoalSpec, NoPath, OutsideArena, ParseError, UnknownSkill, ValidationError
 from .geometry import Point2, centroid, euclidean
+from .jsondoc import load_object, parse_point
 from .nav import plan_path
 from .semantic_map import SemanticMap, furniture_anchor, room_of
 from .skills import SkillInstance
@@ -69,44 +69,22 @@ class ExecTrace:
 
 def load_world(smap: SemanticMap, source: Union[str, IO]) -> WorldState:
     """Parse a world fixture: {objects: {name: furniture}, robot, operator}."""
-    text = source if isinstance(source, str) else source.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"world is not valid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise ParseError("world document must be an object")
-    unknown = set(doc) - {"objects", "robot", "operator"}
-    if unknown:
-        raise ParseError(f"unknown world keys: {sorted(unknown)}")
-
+    doc = load_object(source, ("objects", "robot", "operator"), "world")
     objects = doc.get("objects", {})
     if not isinstance(objects, dict):
         raise ParseError("objects must be an object of name -> furniture")
     for name, furniture in objects.items():
-        if not isinstance(name, str) or not isinstance(furniture, str):
+        if not isinstance(furniture, str):
             raise ParseError(f"malformed object placement: {name!r}")
         if furniture not in smap.index.furniture:
             raise ValidationError(name, f"unknown furniture {furniture!r}")
 
-    def read_point(key: str) -> Point2:
-        value = doc.get(key)
-        if (
-            not isinstance(value, list)
-            or len(value) != 2
-            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in value)
-        ):
-            raise ParseError(f"{key} must be an [x, y] pair")
-        point = Point2(value[0], value[1])
-        if room_of(smap, point) is None:
+    poses = {}
+    for key in ("robot", "operator"):
+        poses[key] = parse_point(doc.get(key), key)
+        if room_of(smap, poses[key]) is None:
             raise ValidationError(key, "outside every room")
-        return point
-
-    return WorldState(
-        placements=dict(sorted(objects.items())),
-        robot=read_point("robot"),
-        operator=read_point("operator"),
-    )
+    return WorldState(placements=dict(sorted(objects.items())), **poses)
 
 
 def _resolve_location(smap: SemanticMap, world: WorldState, name: str) -> Optional[Point2]:

@@ -1,0 +1,241 @@
+"""Malformed maps, worlds, score tables, configs and argv exit 2 with one error line.
+
+Each regression test feeds one malformed input through ``main`` and checks
+exit code 2, a single ``error:`` line on stderr and no exception. The
+property tests mutate the golden documents and draw random argv, and check
+that ``main`` always returns 0, 1 or 2.
+"""
+
+import copy
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semplan.cli import main
+from semplan.errors import ParseError, ValidationError
+from semplan.jsondoc import finite, load_object, parse_point
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN_MAP = FIXTURES / "maps" / "golden_arena.json"
+BRING_APPLE = FIXTURES / "scenarios" / "bring_apple"
+HUGE = 10 ** 400  # 401 digits: finite in JSON, too large for a float
+HUGE_LITERAL = pytest.param(str(HUGE), id="401-digit-int")
+PLAN = "move_to(kitchen_table)\nfind_obj(apple)\ngrasp(apple)\nmove_to(operator)\nhandover\ndone\n"
+MARK = "@@literal@@"
+
+
+def golden_documents() -> dict:
+    config = json.loads((BRING_APPLE / "config.json").read_text())
+    config.update(map="map.json", world="world.json")  # scorer.path is scores.json already
+    return {
+        "map": json.loads(GOLDEN_MAP.read_text()),
+        "world": json.loads((BRING_APPLE / "world.json").read_text()),
+        "scores": json.loads((BRING_APPLE / "scores.json").read_text()),
+        "config": config,
+    }
+
+
+GOLDEN = golden_documents()
+
+
+def write_scenario(directory: Path, **texts) -> Path:
+    """map/world/scores/config .json in directory: golden unless given as text."""
+    for name, doc in GOLDEN.items():
+        (directory / f"{name}.json").write_text(texts.get(name, json.dumps(doc)))
+    (directory / "plan.txt").write_text(PLAN)
+    return directory
+
+
+def with_literal(name: str, path: tuple, literal: str) -> str:
+    """The golden document with the value at path written as raw JSON text."""
+    doc = copy.deepcopy(GOLDEN[name])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = MARK
+    return json.dumps(doc).replace(json.dumps(MARK), literal)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def assert_input_error(argv):
+    code, err = run(argv)
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def plan_task(directory: Path):
+    return ["plan-task", "--config", directory / "config.json"]
+
+
+def sim_run(directory: Path):
+    return ["sim", "run", directory / "map.json", directory / "world.json", directory / "plan.txt"]
+
+
+class TestRegressions:
+    def test_locate_nan(self):
+        assert_input_error(["locate", GOLDEN_MAP, "nan", "0"])
+
+    def test_plan_path_start_inf(self):
+        assert_input_error(["plan-path", GOLDEN_MAP, "--start", "inf", "0", "--goal", "1,1"])
+
+    def test_plan_path_goal_nan(self):
+        assert_input_error(["plan-path", GOLDEN_MAP, "--start", "4", "5", "--goal", "nan,1"])
+
+    def test_map_coordinate_huge_integer(self, tmp_path):
+        text = with_literal("map", ("rooms", 0, "contour", 0, 0), str(HUGE))
+        write_scenario(tmp_path, map=text)
+        assert_input_error(["map", "validate", tmp_path / "map.json"])
+
+    @pytest.mark.parametrize("literal", ["1e400", HUGE_LITERAL])
+    def test_world_robot_out_of_range(self, tmp_path, literal):
+        write_scenario(tmp_path, world=with_literal("world", ("robot", 0), literal))
+        assert_input_error(sim_run(tmp_path))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400", HUGE_LITERAL])
+    def test_score_not_finite(self, tmp_path, literal):
+        text = with_literal("scores", ("rows", 0, "scores", "done"), literal)
+        write_scenario(tmp_path, scores=text)
+        assert_input_error(plan_task(tmp_path))
+
+    def test_map_not_utf8(self, tmp_path):
+        write_scenario(tmp_path)
+        (tmp_path / "map.json").write_bytes(b'{"rooms": [{"name": "k\xff\xfe"}]}')
+        assert_input_error(["map", "validate", tmp_path / "map.json"])
+
+    def test_map_nested_too_deep(self, tmp_path):
+        write_scenario(tmp_path, map="[" * 100000 + "]" * 100000)
+        assert_input_error(["map", "validate", tmp_path / "map.json"])
+
+    def test_integer_past_digit_limit(self, tmp_path):
+        text = with_literal("map", ("rooms", 0, "contour", 0, 0), "1" * 5000)
+        write_scenario(tmp_path, map=text)
+        assert_input_error(["map", "validate", tmp_path / "map.json"])
+
+
+class TestJsondoc:
+    def test_load_object_rejects_unknown_keys(self):
+        with pytest.raises(ParseError):
+            load_object('{"a": 1, "b": 2}', ("a",), "doc")
+        assert load_object(io.StringIO('{"a": 1}'), ("a",), "doc") == {"a": 1}
+
+    @pytest.mark.parametrize("value", [True, "1", None, [1]])
+    def test_finite_rejects_non_numbers(self, value):
+        with pytest.raises(ParseError):
+            finite(value, "x")
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), pytest.param(-HUGE, id="-401-digit-int"),
+    ])
+    def test_finite_rejects_out_of_range(self, value):
+        with pytest.raises(ValidationError):
+            finite(value, "x")
+
+    def test_parse_point(self):
+        assert parse_point([1, 2.5], "p").y == 2.5
+        with pytest.raises(ParseError):
+            parse_point([1, 2, 3], "p")
+
+
+LITERALS = (
+    "NaN", "Infinity", "-Infinity", "1e400", str(HUGE), "-" + str(HUGE),
+    "true", "false", "null", '"x"', '""', "[]", "{}", "0", "-1", "1e-300",
+)
+
+
+def locations(node, prefix=()):
+    """Every key path into nested dicts and lists."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from locations(child, prefix + (key,))
+
+
+@st.composite
+def mutated_document(draw):
+    """(name, text): a golden document with one to three keys dropped, renamed or replaced."""
+    name = draw(st.sampled_from(sorted(GOLDEN)))
+    doc = copy.deepcopy(GOLDEN[name])
+    literals = {}
+    for n in range(draw(st.integers(1, 3))):
+        paths = list(locations(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        op = draw(st.sampled_from(("drop", "rename", "replace")))
+        if op == "drop":
+            del parent[path[-1]]
+        elif op == "rename" and isinstance(parent, dict):
+            parent[f"{path[-1]}_"] = parent.pop(path[-1])
+        else:
+            mark = f"@@{n}@@"
+            parent[path[-1]] = mark
+            literals[mark] = draw(st.sampled_from(LITERALS))
+    text = json.dumps(doc)
+    for mark, literal in literals.items():
+        text = text.replace(json.dumps(mark), literal)
+    return name, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_document())
+def test_mutated_documents_exit_0_1_or_2(case):
+    name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = write_scenario(Path(tmp), **{name: text})
+        map_validate = ["map", "validate", directory / "map.json"]
+        for argv in (plan_task(directory), sim_run(directory), map_validate):
+            code, err = run(argv)
+            assert code in (0, 1, 2)
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+
+
+NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", str(HUGE), "True", "", "1,2"]),
+    st.text(max_size=6),
+)
+GOAL = st.one_of(
+    st.sampled_from(["kitchen_table", "shelf", "sofa", ""]),
+    st.tuples(NUMBER, NUMBER).map(",".join),
+    st.text(max_size=8),
+)
+DOOR = st.one_of(st.sampled_from(["kitchen_living", "living_bedroom"]), st.text(max_size=6))
+
+
+ARGV = st.one_of(
+    st.tuples(NUMBER, NUMBER).map(lambda xy: ["locate", GOLDEN_MAP, *xy]),
+    st.builds(
+        lambda x, y, goal, doors: [
+            "plan-path", GOLDEN_MAP, "--start", x, y, "--goal", goal,
+            *[arg for door in doors for arg in ("--close-door", door)],
+        ],
+        NUMBER, NUMBER, GOAL, st.lists(DOOR, max_size=2),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGV)
+def test_random_argv_exit_0_1_or_2(argv):
+    code, _ = run(argv)
+    assert code in (0, 1, 2)

@@ -14,6 +14,7 @@ from semplan.scorer import (
     ScoreRequest,
     ScoreResponse,
     ScriptedScorer,
+    _suffix_logprob_sum,
     build_prompt,
     config_from_env,
     llm_score,
@@ -267,3 +268,24 @@ class TestLlmScore:
     def test_scorer_metadata_names_template(self):
         scorer = LlmScorer(LlmConfig(endpoint="http://x", key="k"))
         assert scorer.describe()["prompt_template"] == PROMPT_TEMPLATE_ID
+
+
+def reply(offsets, logprobs):
+    return {"choices": [{"logprobs": {"text_offset": offsets, "token_logprobs": logprobs}}]}
+
+
+class TestSuffixLogprobSum:
+    def test_sums_tokens_at_or_after_the_candidate(self):
+        assert _suffix_logprob_sum(reply([0, 5, 9], [None, -0.5, -0.25]), 5) == -0.75
+
+    def test_truncated_reply_rejected(self):
+        with pytest.raises(ScorerFailure):
+            _suffix_logprob_sum(reply([0, 3], [None, -0.5]), 5)
+
+    @pytest.mark.parametrize("offsets, logprobs", [
+        ([0, 5, 9], [None, -0.5]),
+        ([0, 5], [None, -0.5, -0.25]),
+    ])
+    def test_length_mismatch_rejected(self, offsets, logprobs):
+        with pytest.raises(ScorerFailure):
+            _suffix_logprob_sum(reply(offsets, logprobs), 5)
