@@ -32,6 +32,11 @@ from .skills import (
 
 PLANNING_ERRORS = (NoPath, PlanTooLong, ScorerFailure)
 
+# Every character str.splitlines breaks at, mapped to its escape (\n, \x85, ...).
+_ESCAPE_LINE_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
 
 def _emit(doc: dict, human_lines, fmt: str) -> None:
     if fmt == "json":
@@ -361,12 +366,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PLANNING_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (SemplanError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        # Names and argv text reach the message verbatim: escape line breaks
+        # so that every error is one stderr line.
+        print(f"error: {str(err).translate(_ESCAPE_LINE_BREAKS)}", file=sys.stderr)
+        return 1 if isinstance(err, PLANNING_ERRORS) else 2
 
 
 def entry() -> None:

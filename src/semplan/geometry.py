@@ -206,14 +206,15 @@ def point_in_polygon(p: Point2, poly: Polygon2) -> Containment:
     return Containment.INSIDE if winding != 0 else Containment.OUTSIDE
 
 
-def contains(p: Point2, poly: Polygon2) -> bool:
-    """Inside-or-boundary convenience predicate."""
-    return point_in_polygon(p, poly) is not Containment.OUTSIDE
-
-
 def centroid(poly: Polygon2) -> Point2:
-    """Area-weighted centroid of a simple polygon."""
+    """Area-weighted centroid of a simple polygon.
+
+    Raises DegeneratePolygon when the area is below MIN_AREA, or when the
+    coordinates are so large that the area or the centroid overflows.
+    """
     area2 = _signed_area2(poly.vertices)
+    if not math.isfinite(area2):
+        raise DegeneratePolygon("area overflows a float")
     if abs(area2) / 2.0 < MIN_AREA:
         raise DegeneratePolygon(f"area {abs(area2) / 2.0} below {MIN_AREA}")
     cx = 0.0
@@ -223,4 +224,7 @@ def centroid(poly: Polygon2) -> Point2:
         cx += (a.x + b.x) * w
         cy += (a.y + b.y) * w
     factor = 1.0 / (3.0 * area2)
-    return Point2(cx * factor, cy * factor)
+    x, y = cx * factor, cy * factor
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DegeneratePolygon("centroid overflows a float")
+    return Point2(x, y)

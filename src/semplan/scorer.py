@@ -8,6 +8,7 @@ endpoint and scores each candidate as exp(sum of its suffix logprobs).
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import time
@@ -15,9 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Union
 
-import requests
-
-from .errors import ConfigMissing, ParseError, ScorerFailure
+from .errors import ConfigMissing, ParseError, ScorerFailure, ValidationError
 from .jsondoc import check_object, finite, load_object
 
 PROMPT_TEMPLATE_ID = "skill-seq-v1"
@@ -90,7 +89,11 @@ def load_scenario(source: Union[str, IO]) -> ScriptedScenario:
         scores = row["scores"]
         if not isinstance(scores, dict) or not scores:
             raise ParseError(f"row {i} scores must be a nonempty object")
-        rows.append({k: finite(v, f"row {i} score {k}") for k, v in scores.items()})
+        row = {k: finite(v, f"row {i} score {k}") for k, v in scores.items()}
+        for k, v in row.items():
+            if v < 0:
+                raise ValidationError(f"row {i} score {k}", "negative")
+        rows.append(row)
     return ScriptedScenario(command=command, rows=tuple(rows))
 
 
@@ -176,27 +179,62 @@ def _suffix_logprob_sum(payload: dict, prefix_len: int) -> float:
 
 
 def _post_with_retries(config: LlmConfig, body: dict) -> dict:
+    # Imported here so that the scripted path loads no HTTP code.
+    import urllib.request
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.parse import urlsplit
+
     url = config.endpoint.rstrip("/") + "/v1/completions"
-    headers = {"Authorization": f"Bearer {config.key}"}
+    try:
+        scheme = urlsplit(url).scheme
+    except ValueError as err:
+        raise ScorerFailure(f"bad endpoint URL: {err}") from err
+    if scheme not in ("http", "https"):
+        raise ScorerFailure(f"endpoint must be an http or https URL: {config.endpoint!r}")
+    data = json.dumps(body).encode()
+    # urlopen's handlers without ftp:, file: and data:, so that a redirect
+    # leads only to http or https; proxies come from the environment.
+    opener = urllib.request.OpenerDirector()
+    for handler in (
+        urllib.request.ProxyHandler,
+        urllib.request.UnknownHandler,
+        urllib.request.HTTPHandler,
+        urllib.request.HTTPSHandler,
+        urllib.request.HTTPDefaultErrorHandler,
+        urllib.request.HTTPRedirectHandler,
+        urllib.request.HTTPErrorProcessor,
+    ):
+        opener.add_handler(handler())
     attempts = 3
     last_error = "no attempt made"
     for attempt in range(attempts):
         if attempt:
             time.sleep(config.backoff_base * (2 ** (attempt - 1)))
+        # A fresh request per attempt: opening one through a proxy rewrites it.
+        request = urllib.request.Request(url, data, {"Content-Type": "application/json"})
+        # Unredirected, so that a redirect never carries the key elsewhere.
+        request.add_unredirected_header("Authorization", f"Bearer {config.key}")
         try:
-            reply = requests.post(url, json=body, headers=headers, timeout=config.timeout)
-        except requests.RequestException as err:
+            with opener.open(request, timeout=config.timeout) as reply:
+                status, text = reply.status, reply.read()
+        except HTTPError as err:
+            status = err.code
+            err.close()
+        except (OSError, HTTPException, ValueError) as err:
+            # OSError covers URLError and timeouts; ValueError, a header
+            # value or host that http.client refuses.
             last_error = f"request failed: {err}"
             continue
-        if reply.status_code == 200:
+        if status == 200:
             try:
-                return reply.json()
-            except ValueError as err:
+                return json.loads(text)
+            except (ValueError, RecursionError) as err:
                 raise ScorerFailure(f"reply is not JSON: {err}") from err
-        if reply.status_code >= 500 or reply.status_code == 429:
-            last_error = f"transient HTTP {reply.status_code}"
+        if status >= 500 or status == 429:
+            last_error = f"transient HTTP {status}"
             continue
-        raise ScorerFailure(f"HTTP {reply.status_code} from scoring endpoint")
+        raise ScorerFailure(f"HTTP {status} from scoring endpoint")
     raise ScorerFailure(f"{last_error} after {attempts} attempts")
 
 

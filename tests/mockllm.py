@@ -22,9 +22,11 @@ class MockLlmServer:
         self.candidate_logprobs = dict(candidate_logprobs or {})
         self.handler_delay = handler_delay
         self.fail_statuses: list[int] = []
-        self.malformed = False
+        self.malformed = False  # True, or the exact reply body as bytes
+        self.redirect_to: str | None = None  # answer every POST with a 302 here
         self.request_count = 0
         self.requests: list[dict] = []
+        self.headers: list[dict] = []  # of every request, GET included
         self.in_flight = 0
         self.max_in_flight = 0
         self._lock = threading.Lock()
@@ -90,8 +92,15 @@ class MockLlmServer:
             def log_message(self, *args):
                 pass
 
+            def do_GET(self):
+                with server._lock:
+                    server.headers.append(dict(self.headers))
+                self.send_response(404)
+                self.end_headers()
+
             def do_POST(self):
                 with server._lock:
+                    server.headers.append(dict(self.headers))
                     server.request_count += 1
                     server.in_flight += 1
                     server.max_in_flight = max(server.max_in_flight, server.in_flight)
@@ -103,11 +112,18 @@ class MockLlmServer:
                     body = json.loads(self.rfile.read(length)) if length else {}
                     with server._lock:
                         server.requests.append(body)
+                    if server.redirect_to:
+                        self.send_response(302)
+                        self.send_header("Location", server.redirect_to)
+                        self.end_headers()
+                        return
                     if status != 200:
                         self.send_response(status)
                         self.end_headers()
                         return
-                    if server.malformed:
+                    if isinstance(server.malformed, bytes):
+                        payload = server.malformed
+                    elif server.malformed:
                         payload = b'{"unexpected": true}'
                     else:
                         payload = json.dumps(server._payload_for(body["prompt"])).encode()

@@ -12,6 +12,7 @@ import json
 import math
 import random
 import re
+import socket
 import time
 from pathlib import Path
 
@@ -289,9 +290,10 @@ def test_criterion_8_llm_scorer_contract(monkeypatch):
         calls = []
         monkeypatch.delenv("SEMPLAN_LLM_ENDPOINT", raising=False)
         monkeypatch.delenv("SEMPLAN_LLM_KEY", raising=False)
-        monkeypatch.setattr(
-            "requests.post", lambda *a, **kw: calls.append(a) or pytest.fail("network call")
-        )
+        # Every name lookup and every connection, whichever client makes it.
+        offline = lambda *a, **kw: calls.append(a) or pytest.fail("network call")
+        monkeypatch.setattr(socket, "getaddrinfo", offline)
+        monkeypatch.setattr(socket.socket, "connect", offline)
         with pytest.raises(ConfigMissing):
             LlmScorer.from_env()
         assert calls == []

@@ -261,6 +261,22 @@ class TestPlanTask:
         assert "1. move_to(kitchen_table)" in out
         assert "execution:" in out
 
+    def test_scripted_run_loads_no_http_code(self, fixtures_dir):
+        argv = ["plan-task", "--config", scenario(fixtures_dir, "bring_apple")]
+        code = (
+            "import sys, semplan.cli\n"
+            f"semplan.cli.main({argv!r})\n"
+            "print(sorted({'requests', 'urllib.request', 'http.client'} & set(sys.modules)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
 
 class TestSimRun:
     def write_plan(self, tmp_path, lines):

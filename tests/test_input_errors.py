@@ -109,6 +109,23 @@ class TestRegressions:
         write_scenario(tmp_path, scores=text)
         assert_input_error(plan_task(tmp_path))
 
+    def test_score_negative(self, tmp_path):
+        write_scenario(tmp_path, scores=with_literal("scores", ("rows", 0, "scores", "done"), "-1"))
+        assert_input_error(plan_task(tmp_path))
+
+    def test_goal_name_with_newline(self):
+        assert_input_error(["plan-path", GOLDEN_MAP, "--start", "1", "1", "--goal", "so\nfa"])
+
+    def test_centroid_overflow(self, tmp_path):
+        def square(lo, hi):
+            return [[lo, lo], [hi, lo], [hi, hi], [lo, hi]]
+
+        doc = copy.deepcopy(GOLDEN["map"])
+        doc["rooms"].append({"name": "far", "contour": square(1e200, 3e200)})
+        doc["furniture"].append({"name": "desk", "room": "far", "contour": square(1.5e200, 2e200)})
+        write_scenario(tmp_path, map=json.dumps(doc))
+        assert_input_error(["map", "validate", tmp_path / "map.json"])
+
     def test_map_not_utf8(self, tmp_path):
         write_scenario(tmp_path)
         (tmp_path / "map.json").write_bytes(b'{"rooms": [{"name": "k\xff\xfe"}]}')
@@ -150,7 +167,8 @@ class TestJsondoc:
 
 LITERALS = (
     "NaN", "Infinity", "-Infinity", "1e400", str(HUGE), "-" + str(HUGE),
-    "true", "false", "null", '"x"', '""', "[]", "{}", "0", "-1", "1e-300",
+    "true", "false", "null", '"x"', '""', '"so\\nfa"', '"\\r\\u2028"', "[]", "{}", "0",
+    "-1", "1e-300",
 )
 
 
@@ -214,12 +232,17 @@ NUMBER = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e400", str(HUGE), "True", "", "1,2"]),
     st.text(max_size=6),
 )
+# Names may hold line breaks; an error that quotes one is still one line.
+NAME_TEXT = st.text(alphabet=st.sampled_from("ab,\n\r\x85\u2028"), max_size=6)
 GOAL = st.one_of(
     st.sampled_from(["kitchen_table", "shelf", "sofa", ""]),
     st.tuples(NUMBER, NUMBER).map(",".join),
     st.text(max_size=8),
+    NAME_TEXT,
 )
-DOOR = st.one_of(st.sampled_from(["kitchen_living", "living_bedroom"]), st.text(max_size=6))
+DOOR = st.one_of(
+    st.sampled_from(["kitchen_living", "living_bedroom"]), st.text(max_size=6), NAME_TEXT
+)
 
 
 ARGV = st.one_of(
@@ -237,5 +260,9 @@ ARGV = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(ARGV)
 def test_random_argv_exit_0_1_or_2(argv):
-    code, _ = run(argv)
+    code, err = run(argv)
     assert code in (0, 1, 2)
+    # argparse reports its own usage errors; every other error is one line.
+    assert err == "" or err.startswith("usage: ") or (
+        err.startswith("error: ") and err.count("\n") == 1
+    ), err

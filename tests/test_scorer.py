@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import socket
 import time
+import urllib.request
 
 import pytest
 
@@ -253,9 +255,74 @@ class TestLlmScore:
         with pytest.raises(ScorerFailure):
             llm_score(request_for("done"), config)
 
+    @pytest.mark.parametrize("endpoint, key", [
+        ("localhost:9", "k"),
+        ("ftp://127.0.0.1:9", "k"),
+        ("file:///etc", "k"),
+        ("http://[::1", "k"),
+        ("http://a b", "k"),
+        ("http://127.0.0.1:9", "a\nb"),
+    ])
+    def test_bad_endpoint_or_key_is_scorer_failure(self, monkeypatch, endpoint, key):
+        def refuse(*args, **kwargs):
+            raise socket.gaierror("no name lookups in this test")
+
+        def never(*args, **kwargs):
+            pytest.fail("opened a file: or ftp: URL")
+
+        monkeypatch.setattr(socket, "getaddrinfo", refuse)
+        monkeypatch.setattr(urllib.request.FileHandler, "file_open", never)
+        monkeypatch.setattr(urllib.request.FTPHandler, "ftp_open", never)
+        config = LlmConfig(endpoint=endpoint, key=key, backoff_base=0.001, timeout=0.2)
+        with pytest.raises(ScorerFailure):
+            llm_score(request_for("done"), config)
+
+    @pytest.mark.parametrize("endpoint", [
+        "localhost:9", "ftp://127.0.0.1:9", "file:///etc", "http://[::1",
+    ])
+    def test_non_http_endpoint_rejected_before_any_request(self, monkeypatch, endpoint):
+        monkeypatch.setattr(
+            urllib.request.OpenerDirector, "open", lambda *a, **kw: pytest.fail("request made")
+        )
+        config = LlmConfig(endpoint=endpoint, key="k", backoff_base=0.001, timeout=0.2)
+        with pytest.raises(ScorerFailure):
+            llm_score(request_for("done"), config)
+
+    def test_sends_key_and_json(self):
+        with MockLlmServer({"done": [-1.0]}) as server:
+            llm_score(request_for("done"), config_for(server))
+            (headers,) = server.headers
+        assert headers["Authorization"] == "Bearer test-key"
+        assert headers["Content-Type"] == "application/json"
+
+    def test_redirect_drops_the_key(self):
+        with MockLlmServer({"done": [-1.0]}) as server:
+            server.redirect_to = server.url + "/elsewhere"
+            with pytest.raises(ScorerFailure):
+                llm_score(request_for("done"), config_for(server))
+            assert [h.get("Authorization") for h in server.headers] == ["Bearer test-key", None]
+
+    def test_redirect_to_ftp_is_not_followed(self, monkeypatch):
+        monkeypatch.setattr(
+            urllib.request.FTPHandler, "ftp_open", lambda *a: pytest.fail("opened ftp:")
+        )
+        with MockLlmServer({"done": [-1.0]}) as server:
+            server.redirect_to = "ftp://127.0.0.1:9/x"
+            with pytest.raises(ScorerFailure):
+                llm_score(request_for("done"), config_for(server, backoff_base=0.001))
+
     def test_malformed_reply(self):
         with MockLlmServer({"done": [-1.0]}) as server:
             server.malformed = True
+            with pytest.raises(ScorerFailure):
+                llm_score(request_for("done"), config_for(server))
+
+    @pytest.mark.parametrize("body", [
+        b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe", b"[1, 2]",
+    ], ids=["nested-too-deep", "not-utf8", "not-an-object"])
+    def test_unparseable_reply(self, body):
+        with MockLlmServer({"done": [-1.0]}) as server:
+            server.malformed = body
             with pytest.raises(ScorerFailure):
                 llm_score(request_for("done"), config_for(server))
 
