@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import IO, Iterable, NamedTuple, Optional, Union
 
 from .errors import (
+    DegeneratePolygon,
     InvalidPolygon,
     ParseError,
     UnknownDoor,
@@ -78,6 +79,25 @@ class SemanticMap:
         groups = (self.rooms, self.furniture, self.doors)
         return MapIndex(*({e.name: e for e in group} for group in groups))
 
+    @cached_property
+    def components(self) -> dict:
+        """Room name -> representative room, equal for rooms joined by passable doors.
+
+        A union-find over the rooms, built once per map.
+        """
+        parent = {r.name: r.name for r in self.rooms}
+
+        def find(room: str) -> str:
+            while parent[room] != room:
+                parent[room] = parent[parent[room]]
+                room = parent[room]
+            return room
+
+        for d in self.doors:
+            if d.passable:
+                parent[find(d.connects[0])] = find(d.connects[1])
+        return {room: find(room) for room in parent}
+
     def find_furniture(self, name: str) -> Furniture:
         if name not in self.index.furniture:
             raise UnknownFurniture(name)
@@ -97,7 +117,8 @@ def make_map(
     """Assemble and validate a map from entity values.
 
     Raises ValidationError naming the offending entity on duplicate names,
-    dangling references or a furniture centroid outside its room.
+    dangling references, a room or furniture contour without a finite
+    centroid, or a furniture centroid outside its room.
     """
     rooms = tuple(sorted(rooms, key=lambda r: r.name))
     furniture = tuple(sorted(furniture, key=lambda f: f.name))
@@ -120,10 +141,12 @@ def make_map(
             seen.add(e.name)
 
     room_names = {r.name: r for r in rooms}
+    for r in rooms:
+        _anchor(r)
     for f in furniture:
         if f.room not in room_names:
             raise ValidationError(f.name, "unknown room")
-        anchor = centroid(f.contour)
+        anchor = _anchor(f)
         if point_in_polygon(anchor, room_names[f.room].contour) is Containment.OUTSIDE:
             raise ValidationError(f.name, f"centroid lies outside room {f.room}")
     for d in doors:
@@ -135,6 +158,13 @@ def make_map(
                 raise ValidationError(d.name, f"unknown room {name}")
 
     return SemanticMap(rooms=rooms, furniture=furniture, doors=doors)
+
+
+def _anchor(entity: Union[Room, Furniture]) -> Point2:
+    try:
+        return centroid(entity.contour)
+    except DegeneratePolygon as exc:
+        raise ValidationError(entity.name, str(exc)) from None
 
 
 def _parse_contour(raw, entity: str) -> Polygon2:

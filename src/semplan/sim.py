@@ -3,8 +3,11 @@
 World state is a value: each skill application returns a new state plus
 an outcome, leaving the input untouched. Perception is room-scoped (a
 robot only finds objects on furniture in its current room) and there is
-a single gripper. Failures never raise; they come back as outcomes so a
-whole plan can be folded into a trace.
+a single gripper. Movement checks reachability, not routes: move_to and
+follow_person succeed when the target's room is connected to the robot's
+room through passable doors (nav.plan_path gives the route). Failures never
+raise; they come back as outcomes so a whole plan can be folded into a
+trace.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ import re
 from dataclasses import dataclass, replace
 from typing import IO, Optional, Union
 
-from .errors import InvalidGoalSpec, NoPath, OutsideArena, ParseError, UnknownSkill, ValidationError
+from .errors import InvalidGoalSpec, ParseError, UnknownSkill, ValidationError
 from .geometry import Point2, centroid, euclidean
 from .jsondoc import load_object, parse_point
-from .nav import plan_path
 from .semantic_map import SemanticMap, furniture_anchor, room_of
 from .skills import SkillInstance
 
@@ -97,9 +99,9 @@ def _resolve_location(smap: SemanticMap, world: WorldState, name: str) -> Option
 
 
 def _go_to(smap: SemanticMap, world: WorldState, target: Point2):
-    try:
-        plan_path(smap, world.robot, target)
-    except (NoPath, OutsideArena):
+    # Rooms are free space, so this holds exactly when nav.plan_path finds a route.
+    here, there = room_of(smap, world.robot), room_of(smap, target)
+    if here is None or there is None or smap.components[here] != smap.components[there]:
         return world, SkillOutcome.failed(NO_PATH)
     return replace(world, robot=target), SkillOutcome.success()
 

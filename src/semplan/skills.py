@@ -83,11 +83,28 @@ class SkillInstance:
             raise ValueError(
                 f"{self.name} takes {arity} argument(s), got {len(self.args)}"
             )
+        # The planner hashes and prints each instance many times per step, so
+        # both are cached on first use, outside the fields (==, repr and the
+        # hash value stay the fields'). Set with object.__setattr__: reading
+        # __dict__, as functools.cached_property does, slowed every op.
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_text", None)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.name, self.args)))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields: a cached string hash is valid only in the
+        # process that computed it.
+        return SkillInstance, (self.name, self.args)
 
     def to_text(self) -> str:
-        if self.args:
-            return f"{self.name}({','.join(self.args)})"
-        return self.name
+        if self._text is None:
+            text = f"{self.name}({','.join(self.args)})" if self.args else self.name
+            object.__setattr__(self, "_text", text)
+        return self._text
 
     def __str__(self) -> str:
         return self.to_text()

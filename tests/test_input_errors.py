@@ -126,6 +126,28 @@ class TestRegressions:
         write_scenario(tmp_path, map=json.dumps(doc))
         assert_input_error(["map", "validate", tmp_path / "map.json"])
 
+    @pytest.mark.parametrize("command", ["validate", "sim"])
+    def test_room_centroid_overflow_named_at_load(self, tmp_path, command):
+        doc = copy.deepcopy(GOLDEN["map"])
+        doc["rooms"].append({"name": "far", "contour": [[1e200, 1e200], [3e200, 1e200],
+                                                        [3e200, 3e200], [1e200, 3e200]]})
+        write_scenario(tmp_path, map=json.dumps(doc))
+        (tmp_path / "plan.txt").write_text("move_to(far)\n")
+        argv = ["map", "validate", tmp_path / "map.json"] if command == "validate" else sim_run(tmp_path)
+        assert_input_error(argv)
+        assert run(argv)[1].startswith("error: far: ")
+
+    def test_degenerate_furniture_named(self, tmp_path):
+        doc = copy.deepcopy(GOLDEN["map"])
+        room = doc["furniture"][0]["room"]
+        x, y = doc["furniture"][0]["contour"][0]
+        sliver = [[x, y], [x + 1e-7, y], [x, y + 1e-7]]
+        doc["furniture"].append({"name": "crumb", "room": room, "contour": sliver})
+        write_scenario(tmp_path, map=json.dumps(doc))
+        argv = ["map", "validate", tmp_path / "map.json"]
+        assert_input_error(argv)
+        assert run(argv)[1].startswith("error: crumb: ")
+
     def test_map_not_utf8(self, tmp_path):
         write_scenario(tmp_path)
         (tmp_path / "map.json").write_bytes(b'{"rooms": [{"name": "k\xff\xfe"}]}')

@@ -1,10 +1,18 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from semplan.errors import InvalidGoalSpec, ParseError, ValidationError
-from semplan.geometry import Point2
-from semplan.semantic_map import load_map, set_door_passable
+from semplan.errors import InvalidGoalSpec, NoPath, OutsideArena, ParseError, ValidationError
+from semplan.geometry import Point2, centroid
+from semplan.nav import plan_path
+from semplan.semantic_map import load_map, room_of, set_door_passable
 from semplan.sim import (
     GRIPPER_OCCUPIED,
     NO_PATH,
@@ -21,6 +29,8 @@ from semplan.sim import (
     run_plan,
 )
 from semplan.skills import parse_skill
+
+from mapgen import CELL_H, CELL_W, random_grid_map, random_point_in
 
 
 @pytest.fixture
@@ -240,6 +250,80 @@ class TestApplySkill:
             world, outcome = apply_skill(golden_map, golden_world, parse_skill(text))
             assert not outcome.ok
             assert world == golden_world
+
+
+class TestGoToMatchesPlanPath:
+    """move_to and follow_person succeed exactly when nav.plan_path finds a route."""
+
+    def test_seeded_random_maps_with_closed_doors(self):
+        rng = random.Random(20261018)
+        seen = Counter()
+        for _ in range(300):
+            doc, doors, cells = random_grid_map(rng)
+            smap = load_map(json.dumps(doc))
+            for name, _, _, _ in doors:
+                if rng.random() < 0.25:
+                    smap = set_door_passable(smap, name, False)
+            rooms = sorted(cells)
+            passable = [d for d in smap.doors if d.passable]
+            states = {}
+            for d in smap.doors:
+                states.setdefault(d.connects, set()).add(d.passable)
+
+            def point(room=None):
+                draw = rng.random()
+                if room is None and draw < 0.1:
+                    return Point2(-1.0, rng.uniform(0.0, CELL_H))  # outside every room
+                if room is None and draw < 0.2:
+                    return Point2(CELL_W, rng.uniform(0.0, CELL_H))  # on a shared wall
+                return Point2(*random_point_in(rng, cells, room or rng.choice(rooms)))
+
+            robot = point()
+            here = room_of(smap, robot)
+            operator = point(here) if here is not None and rng.random() < 0.3 else point()
+            world = WorldState(placements={}, robot=robot, operator=operator)
+            room = rng.choice(rooms)
+            for text, target in (
+                ("follow_person", operator),
+                ("move_to(operator)", operator),
+                (f"move_to({room})", centroid(smap.index.rooms[room].contour)),
+            ):
+                try:
+                    plan_path(smap, robot, target)
+                    expected = True
+                except (NoPath, OutsideArena):
+                    expected = False
+                after, outcome = apply_skill(smap, world, parse_skill(text))
+                assert outcome.ok == expected, (text, doc, robot, target)
+                if expected:
+                    assert after == replace(world, robot=target)
+                else:
+                    assert outcome.reason == NO_PATH
+                    assert after == world
+
+                there = room_of(smap, target)
+                seen["ok" if expected else "failed"] += 1
+                seen["parallel doors, one closed"] += any(len(v) == 2 for v in states.values())
+                seen["same room"] += here is not None and here == there
+                seen["outside"] += here is None or there is None
+                seen["room without passable door"] += any(
+                    r is not None and not any(r in d.connects for d in passable)
+                    for r in (here, there)
+                )
+        for case in ("ok", "failed", "parallel doors, one closed", "same room", "outside",
+                     "room without passable door"):
+            assert seen[case] >= 20, seen
+
+
+def test_sim_does_not_load_nav():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, semplan.sim; print('semplan.nav' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestRunPlan:

@@ -1,4 +1,11 @@
+import dataclasses
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +104,90 @@ class TestSkillInstance:
             SkillInstance("done", ("x",))
         with pytest.raises(UnknownSkill):
             SkillInstance("teleport", ("x",))
+
+
+def golden_candidates(fixtures_dir):
+    """Every grounded candidate of every golden scenario, with its scenario name."""
+    manifest = json.loads((fixtures_dir / "scenarios" / "manifest.json").read_text())
+    for entry in manifest:
+        base = fixtures_dir / "scenarios" / entry["name"]
+        config = json.loads((base / "config.json").read_text())
+        smap = load_map((base / config["map"]).read_text())
+        command = resolve_ambiguity(entry["command"], oracle_from(entry["answers"]))
+        for candidate in ground_candidates(smap, command):
+            yield entry["name"], candidate
+
+
+def old_text(skill):
+    """SkillInstance.to_text as an f-string over the fields, computed afresh."""
+    return f"{skill.name}({','.join(skill.args)})" if skill.args else skill.name
+
+
+class TestSkillInstanceCache:
+    def test_golden_candidates(self, fixtures_dir):
+        seen = 0
+        for scenario, skill in golden_candidates(fixtures_dir):
+            seen += 1
+            assert hash(skill) == hash((skill.name, skill.args)), scenario
+            assert skill.to_text() == str(skill) == old_text(skill), scenario
+            twin = SkillInstance(skill.name, list(skill.args))
+            assert twin == skill and hash(twin) == hash(skill)
+            parsed = parse_skill(skill.to_text())
+            assert parsed == skill and hash(parsed) == hash(skill)
+            assert parsed.to_text() == skill.to_text()
+            assert repr(skill) == f"SkillInstance(name={skill.name!r}, args={skill.args!r})"
+            assert len({skill, twin, parsed}) == 1
+        assert seen >= 100
+
+    def test_replace_gives_the_new_text_and_hash(self):
+        skill = SkillInstance("move_to", ("kitchen",))
+        assert skill.to_text() == "move_to(kitchen)" and hash(skill)
+        moved = dataclasses.replace(skill, args=("shelf",))
+        assert moved.to_text() == "move_to(shelf)"
+        assert hash(moved) == hash(("move_to", ("shelf",)))
+        renamed = dataclasses.replace(SkillInstance("done"), name="handover")
+        assert renamed.to_text() == "handover"
+        assert hash(renamed) == hash(("handover", ()))
+
+    def test_accepts_list_and_non_text_args_as_before(self):
+        listed = SkillInstance("grasp", ["apple"])
+        assert listed.args == ("apple",)
+        assert hash(listed) == hash(("grasp", ("apple",)))
+        odd = SkillInstance("grasp", [["apple"]])  # constructs; only text and hash fail
+        assert odd.args == (["apple"],)
+        with pytest.raises(TypeError):
+            odd.to_text()
+        with pytest.raises(TypeError):
+            hash(odd)
+
+    def test_copies_keep_text_and_hash(self):
+        skill = SkillInstance("place", ("shelf",))
+        assert hash(skill) and skill.to_text()
+        for copy in (pickle.loads(pickle.dumps(skill)), dataclasses.replace(skill)):
+            assert copy == skill and hash(copy) == hash(skill)
+            assert copy.to_text() == "place(shelf)"
+
+    def test_unpickled_hash_is_the_loading_process_hash(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        dump = (
+            "import pickle, sys; from semplan.skills import SkillInstance\n"
+            "skill = SkillInstance('grasp', ('apple',)); hash(skill); skill.to_text()\n"
+            "sys.stdout.write(pickle.dumps(skill).hex())\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "skill = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+            "print(hash(skill) == hash((skill.name, skill.args)), skill.to_text())\n"
+        )
+        outputs = ""
+        for seed, code in (("1", dump), ("2", load)):
+            env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+            proc = subprocess.run([sys.executable, "-c", code], input=outputs,
+                                  capture_output=True, text=True, timeout=60, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs = proc.stdout
+        assert outputs.split() == ["True", "grasp(apple)"]
 
 
 class TestResolveAmbiguity:
