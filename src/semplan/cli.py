@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import NoPath, ParseError, PlanTooLong, ScorerFailure, SemplanError
-from .jsondoc import load_object, parse_point
+from .jsondoc import check_object, load_object, parse_point
 from .nav import plan_path
 from .scorer import LlmScorer, ScriptedScorer, load_scenario
 from .semantic_map import _point_doc, load_map, map_warnings, semantic_location, set_door_passable
@@ -139,10 +139,12 @@ def load_scenario_config(path: str) -> dict:
     for key in ("map", "world", "command"):
         if not isinstance(doc.get(key), str):
             raise ParseError(f"scenario config needs a {key} string")
-    scorer = doc.get("scorer")
-    if not isinstance(scorer, dict) or scorer.get("kind") not in ("scripted", "llm"):
+    scorer = check_object(doc.get("scorer"), ("kind", "path"), "scorer")
+    if scorer.get("kind") not in ("scripted", "llm"):
         raise ParseError("scorer must be {kind: scripted|llm, ...}")
-    if scorer["kind"] == "scripted" and not isinstance(scorer.get("path"), str):
+    if not isinstance(scorer.get("path", ""), str):
+        raise ParseError("scorer path must be a string")
+    if scorer["kind"] == "scripted" and "path" not in scorer:
         raise ParseError("scripted scorer needs a path")
     max_steps = doc.get("max_steps", DEFAULT_MAX_STEPS)
     if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 1:

@@ -228,3 +228,29 @@ def centroid(poly: Polygon2) -> Point2:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DegeneratePolygon("centroid overflows a float")
     return Point2(x, y)
+
+
+def scanline_midpoint(poly: Polygon2, y: float) -> Point2:
+    """Midpoint of the widest inside interval of a horizontal line near height y.
+
+    The line runs midway between the nearest vertex heights at or below y
+    and above it, so it meets no vertex and stays clear of every horizontal
+    edge; its crossings follow the winding number's half-open rule. Raises
+    DegeneratePolygon when the line misses the interior, as it does for a y
+    outside the polygon's vertical extent, or the midpoint overflows a float.
+    """
+    below = max((v.y for v in poly.vertices if v.y <= y), default=y)
+    above = min((v.y for v in poly.vertices if v.y > y), default=y)
+    line = below / 2 + above / 2
+    xs = sorted(
+        a.x + (line - a.y) / (b.y - a.y) * (b.x - a.x)
+        for a, b in poly.edges()
+        if (a.y <= line) != (b.y <= line)
+    )
+    if not xs:
+        raise DegeneratePolygon(f"no interior near the line y = {y}")
+    x0, x1 = max(zip(xs[::2], xs[1::2]), key=lambda pair: pair[1] - pair[0])
+    x = x0 / 2 + x1 / 2
+    if not math.isfinite(x):
+        raise DegeneratePolygon("interior point overflows a float")
+    return Point2(x, line)

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Union
 
@@ -243,11 +242,16 @@ def llm_score(request: ScoreRequest, config: LlmConfig) -> ScoreResponse:
 
     One completions call per candidate with echo enabled and zero new
     tokens, so the reply carries logprobs for the prompt itself; only the
-    tokens at or past the candidate's start offset count.
+    tokens at or past the candidate's start offset count. When every
+    exp(sum) underflows to 0, each candidate scores exp(sum - max sum)
+    instead, which keeps the argmax.
     """
+    # Imported here so that the scripted path loads no thread-pool code.
+    from concurrent.futures import ThreadPoolExecutor
+
     prefix = build_prompt(request.command, request.history)
 
-    def score_one(candidate) -> float:
+    def logprob_sum(candidate) -> float:
         body = {
             "model": config.model,
             "prompt": prefix + " " + candidate.to_text(),
@@ -256,11 +260,15 @@ def llm_score(request: ScoreRequest, config: LlmConfig) -> ScoreResponse:
             "logprobs": True,
         }
         payload = _post_with_retries(config, body)
-        return math.exp(_suffix_logprob_sum(payload, len(prefix)))
+        return _suffix_logprob_sum(payload, len(prefix))
 
     workers = max(1, min(config.max_concurrency, len(request.candidates)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        values = list(pool.map(score_one, request.candidates))
+        sums = list(pool.map(logprob_sum, request.candidates))
+    values = [math.exp(s) for s in sums]
+    if not any(values):
+        top = max(sums)
+        values = [math.exp(s - top) for s in sums]
     return ScoreResponse(dict(zip(request.candidates, values)))
 
 

@@ -28,6 +28,7 @@ from .geometry import (
     Polygon2,
     centroid,
     point_in_polygon,
+    scanline_midpoint,
     validate_polygon,
 )
 from .jsondoc import check_object, load_object, parse_point
@@ -80,6 +81,11 @@ class SemanticMap:
         return MapIndex(*({e.name: e for e in group} for group in groups))
 
     @cached_property
+    def places(self) -> dict:
+        """Rooms and furniture that move_to can target, by name; furniture wins a shared name."""
+        return {**self.index.rooms, **self.index.furniture}
+
+    @cached_property
     def components(self) -> dict:
         """Room name -> representative room, equal for rooms joined by passable doors.
 
@@ -117,8 +123,8 @@ def make_map(
     """Assemble and validate a map from entity values.
 
     Raises ValidationError naming the offending entity on duplicate names,
-    dangling references, a room or furniture contour without a finite
-    centroid, or a furniture centroid outside its room.
+    dangling references, a room or furniture contour without an anchor,
+    or a furniture anchor outside its room.
     """
     rooms = tuple(sorted(rooms, key=lambda r: r.name))
     furniture = tuple(sorted(furniture, key=lambda f: f.name))
@@ -142,13 +148,12 @@ def make_map(
 
     room_names = {r.name: r for r in rooms}
     for r in rooms:
-        _anchor(r)
+        anchor(r)
     for f in furniture:
         if f.room not in room_names:
             raise ValidationError(f.name, "unknown room")
-        anchor = _anchor(f)
-        if point_in_polygon(anchor, room_names[f.room].contour) is Containment.OUTSIDE:
-            raise ValidationError(f.name, f"centroid lies outside room {f.room}")
+        if point_in_polygon(anchor(f), room_names[f.room].contour) is Containment.OUTSIDE:
+            raise ValidationError(f.name, f"anchor lies outside room {f.room}")
     for d in doors:
         a, b = d.connects
         if a == b:
@@ -160,11 +165,20 @@ def make_map(
     return SemanticMap(rooms=rooms, furniture=furniture, doors=doors)
 
 
-def _anchor(entity: Union[Room, Furniture]) -> Point2:
+def anchor(place: Union[Room, Furniture]) -> Point2:
+    """The point move_to(place) aims at; ValidationError names a place without one.
+
+    The area centroid when it lies inside the contour; otherwise, for a
+    concave contour, the midpoint of the widest inside interval of a
+    horizontal line at about the centroid's height (geometry.scanline_midpoint).
+    """
     try:
-        return centroid(entity.contour)
+        point = centroid(place.contour)
+        if point_in_polygon(point, place.contour) is not Containment.INSIDE:
+            point = scanline_midpoint(place.contour, point.y)
     except DegeneratePolygon as exc:
-        raise ValidationError(entity.name, str(exc)) from None
+        raise ValidationError(place.name, str(exc)) from None
+    return point
 
 
 def _parse_contour(raw, entity: str) -> Polygon2:
@@ -289,8 +303,8 @@ def set_door_passable(smap: SemanticMap, door_name: str, passable: bool) -> Sema
 
 
 def furniture_anchor(smap: SemanticMap, furniture_name: str) -> Point2:
-    """Approach/goal point for a piece of furniture (its contour centroid)."""
-    return centroid(smap.find_furniture(furniture_name).contour)
+    """Approach/goal point for a piece of furniture: its anchor."""
+    return anchor(smap.find_furniture(furniture_name))
 
 
 def map_warnings(smap: SemanticMap) -> list[str]:

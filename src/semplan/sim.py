@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 from typing import IO, Optional, Union
 
 from .errors import InvalidGoalSpec, ParseError, UnknownSkill, ValidationError
-from .geometry import Point2, centroid, euclidean
+from .geometry import Point2, euclidean
 from .jsondoc import load_object, parse_point
-from .semantic_map import SemanticMap, furniture_anchor, room_of
+from .semantic_map import SemanticMap, anchor, room_of
 from .skills import SkillInstance
 
 HANDOVER_RANGE = 1.0
@@ -92,10 +92,8 @@ def load_world(smap: SemanticMap, source: Union[str, IO]) -> WorldState:
 def _resolve_location(smap: SemanticMap, world: WorldState, name: str) -> Optional[Point2]:
     if name == "operator":
         return world.operator
-    if name in smap.index.furniture:
-        return furniture_anchor(smap, name)
-    room = smap.index.rooms.get(name)
-    return None if room is None else centroid(room.contour)
+    place = smap.places.get(name)
+    return None if place is None else anchor(place)
 
 
 def _go_to(smap: SemanticMap, world: WorldState, target: Point2):

@@ -216,8 +216,7 @@ def resolve_ambiguity(raw: str, oracle: AnswerOracle) -> Command:
 
 def extract_objects(smap: SemanticMap, resolved: str) -> tuple[str, ...]:
     """Object nouns: command words minus function words and location names."""
-    location_names = {r.name.lower() for r in smap.rooms}
-    location_names.update(f.name.lower() for f in smap.furniture)
+    location_names = {name.lower() for name in smap.places}
     location_names.add("operator")
     seen = []
     for match in _WORD.finditer(resolved):
@@ -231,11 +230,7 @@ def extract_objects(smap: SemanticMap, resolved: str) -> tuple[str, ...]:
 
 def ground_candidates(smap: SemanticMap, command: Command) -> tuple[SkillInstance, ...]:
     """Instantiate every skill over map locations and command objects."""
-    locations = sorted(
-        [r.name for r in smap.rooms]
-        + [f.name for f in smap.furniture]
-        + ["operator"]
-    )
+    locations = sorted([*smap.places, "operator"])
     furniture = sorted(f.name for f in smap.furniture)
     objects = extract_objects(smap, command.resolved)
 

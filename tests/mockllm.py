@@ -31,7 +31,10 @@ class MockLlmServer:
         self.max_in_flight = 0
         self._lock = threading.Lock()
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), self._make_handler())
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll interval, so that shutdown() on exit returns promptly.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     @property
     def url(self) -> str:

@@ -113,6 +113,14 @@ class TestRegressions:
         write_scenario(tmp_path, scores=with_literal("scores", ("rows", 0, "scores", "done"), "-1"))
         assert_input_error(plan_task(tmp_path))
 
+    @pytest.mark.parametrize("scorer", [
+        {"kind": "llm", "path": 5},
+        {"kind": "scripted", "path": "scores.json", "modle": "typo"},
+    ], ids=["path-not-a-string", "unknown-key"])
+    def test_scorer_object_checked(self, tmp_path, scorer):
+        write_scenario(tmp_path, config=json.dumps({**GOLDEN["config"], "scorer": scorer}))
+        assert_input_error(plan_task(tmp_path))
+
     def test_goal_name_with_newline(self):
         assert_input_error(["plan-path", GOLDEN_MAP, "--start", "1", "1", "--goal", "so\nfa"])
 

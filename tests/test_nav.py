@@ -151,6 +151,10 @@ class TestPlanPath:
         assert path.waypoints[-1].anchor == Point2(15, 2)
         assert_path_sound(golden_map, path)
 
+    def test_builds_no_place_mapping(self, golden_map):
+        plan_path(golden_map, Point2(1, 5), "shelf")
+        assert "places" not in vars(golden_map)
+
     def test_point_goal_matches_furniture_goal(self, golden_map):
         by_name = plan_path(golden_map, Point2(1, 5), "shelf")
         by_point = plan_path(golden_map, Point2(1, 5), Point2(15, 2))

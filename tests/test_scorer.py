@@ -206,6 +206,16 @@ class TestLlmScore:
         (value,) = response.scores.values()
         assert value == pytest.approx(math.exp(-1.875), abs=1e-12)
 
+    def test_all_underflowing_candidates_score_relative_to_the_best(self):
+        logprobs = {"done": [-400.0, -400.0], "handover": [-400.0, -401.0], "answer(apple)": [-1.0]}
+        with MockLlmServer(logprobs) as server:
+            underflow = llm_score(request_for("done", "handover"), config_for(server))
+            mixed = llm_score(request_for("done", "answer(apple)"), config_for(server))
+        scores = {c.to_text(): v for c, v in underflow.scores.items()}
+        assert scores == {"done": 1.0, "handover": math.exp(-1.0)}
+        scores = {c.to_text(): v for c, v in mixed.scores.items()}
+        assert scores == {"done": 0.0, "answer(apple)": math.exp(-1.0)}
+
     def test_prompt_includes_command_and_history(self):
         request = request_for(
             "grasp(apple)",

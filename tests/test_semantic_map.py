@@ -2,8 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semplan.errors import (
+    DegeneratePolygon,
+    InvalidPolygon,
     ParseError,
     UnknownDoor,
     UnknownFurniture,
@@ -13,6 +17,7 @@ from semplan.geometry import (
     BOUNDARY_EPS,
     Containment,
     Point2,
+    centroid,
     point_in_polygon,
     validate_polygon,
 )
@@ -21,6 +26,7 @@ from semplan.semantic_map import (
     Furniture,
     Room,
     SemanticLocation,
+    anchor,
     furniture_anchor,
     load_map,
     make_map,
@@ -288,6 +294,57 @@ class TestFurnitureAnchor:
         anchor = furniture_anchor(smap, "t")
         assert anchor.x == pytest.approx(1.0)
         assert anchor.y == pytest.approx(1.0)
+
+
+@st.composite
+def histograms(draw):
+    """Columns of whole-metre widths and heights on one base line, turned to face any side."""
+    n = draw(st.integers(1, 6))
+    xs = [0]
+    for width in draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)):
+        xs.append(xs[-1] + width)
+    heights = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    points = [(0, 0), (xs[-1], 0)]
+    for i in reversed(range(n)):
+        for p in ((xs[i + 1], heights[i]), (xs[i], heights[i])):
+            if p != points[-1]:
+                points.append(p)
+    sx, sy = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+    points = [(sx * x, sy * y) for x, y in points]
+    return [(y, x) for x, y in points] if draw(st.booleans()) else points
+
+
+@st.composite
+def star_polygons(draw):
+    """Vertices at whole-degree angles about the origin, so no sliver is thinner than BOUNDARY_EPS."""
+    n = draw(st.integers(3, 12))
+    degrees = draw(st.lists(st.integers(0, 359), min_size=n, max_size=n, unique=True))
+    radii = draw(st.lists(st.floats(0.1, 10), min_size=n, max_size=n))
+    return [(r * math.cos(math.radians(d)), r * math.sin(math.radians(d)))
+            for d, r in zip(sorted(degrees), radii)]
+
+
+class TestAnchor:
+    @pytest.mark.parametrize("contour", [
+        # A bar on two legs: the centroid (3, 4) lies on the bar's underside.
+        [(0, 0), (0.75, 0), (0.75, 4), (5.25, 4), (5.25, 0), (6, 0), (6, 6), (0, 6)],
+        # The centroid's y is 13.000000000000002, next to the edge at y = 13.
+        [(0, 0), (2, 0), (2, 4), (4, 4), (4, 7), (1, 7), (1, 13), (8, 13), (8, 20), (0, 20)],
+    ], ids=["on-edge", "near-edge"])
+    def test_centroid_on_or_next_to_a_horizontal_edge(self, contour):
+        place = Room("r", validate_polygon(contour))
+        assert point_in_polygon(centroid(place.contour), place.contour) is Containment.BOUNDARY
+        assert point_in_polygon(anchor(place), place.contour) is Containment.INSIDE
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(histograms(), star_polygons()))
+    def test_anchor_lies_inside(self, contour):
+        try:
+            place = Room("r", validate_polygon(contour))
+            centroid(place.contour)
+        except (InvalidPolygon, DegeneratePolygon):
+            assume(False)
+        assert point_in_polygon(anchor(place), place.contour) is Containment.INSIDE
 
 
 class TestWarnings:

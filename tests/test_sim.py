@@ -12,7 +12,7 @@ import pytest
 from semplan.errors import InvalidGoalSpec, NoPath, OutsideArena, ParseError, ValidationError
 from semplan.geometry import Point2, centroid
 from semplan.nav import plan_path
-from semplan.semantic_map import load_map, room_of, set_door_passable
+from semplan.semantic_map import load_map, room_of, save_map, set_door_passable
 from semplan.sim import (
     GRIPPER_OCCUPIED,
     NO_PATH,
@@ -124,6 +124,38 @@ class TestApplySkill:
         )
         assert outcome.ok
         assert after.robot == Point2(3, 3)
+
+    def test_move_to_concave_room_lands_inside_it(self):
+        # The L-shaped hall's centroid (2.2, 2.2) lies in den, behind a closed door.
+        smap = load_map(json.dumps({
+            "rooms": [
+                {"name": "hall", "contour": [[0, 0], [6, 0], [6, 2], [2, 2], [2, 6], [0, 6]]},
+                {"name": "den", "contour": [[2, 2], [6, 2], [6, 6], [2, 6]]},
+                {"name": "annex", "contour": [[-4, 0], [0, 0], [0, 6], [-4, 6]]},
+            ],
+            "doors": [
+                {"name": "annex_hall", "position": [0, 3], "connects": ["annex", "hall"]},
+                {"name": "hall_den", "position": [4, 2], "connects": ["hall", "den"],
+                 "passable": False},
+            ],
+        }))
+        world = WorldState(placements={}, robot=Point2(-2, 3), operator=Point2(-3, 3))
+        for door_open in (False, True):
+            opened = set_door_passable(smap, "hall_den", door_open)
+            after, outcome = apply_skill(opened, world, parse_skill("move_to(hall)"))
+            assert outcome.ok
+            assert after.robot == Point2(1.0, 4.0)  # in the middle of the inner arm
+            assert room_of(opened, after.robot) == "hall"
+
+    def test_move_to_shared_name_targets_the_furniture(self, golden_map, golden_world):
+        doc = json.loads(save_map(golden_map))
+        doc["furniture"].append(
+            {"name": "kitchen", "room": "kitchen", "contour": [[4, 4], [5, 4], [5, 5], [4, 5]]}
+        )
+        smap = load_map(json.dumps(doc))
+        after, outcome = apply_skill(smap, golden_world, parse_skill("move_to(kitchen)"))
+        assert outcome.ok
+        assert after.robot == Point2(4.5, 4.5)
 
     def test_move_to_operator(self, golden_map, golden_world):
         after, outcome = apply_skill(

@@ -16,7 +16,7 @@ from semplan.errors import (
     UnresolvedAmbiguity,
 )
 from semplan.scorer import ScoreResponse
-from semplan.semantic_map import load_map
+from semplan.semantic_map import load_map, save_map
 from semplan.skills import (
     AMBIGUOUS_VOCABULARY,
     Clarification,
@@ -274,6 +274,17 @@ class TestGrounding:
         assert "handover" in texts
         assert "follow_person" in texts
         assert "done" in texts
+
+    def test_name_shared_by_room_and_furniture_grounds_once(self, golden_map):
+        doc = json.loads(save_map(golden_map))
+        doc["furniture"].append(
+            {"name": "kitchen", "room": "kitchen", "contour": [[4, 4], [5, 4], [5, 5], [4, 5]]}
+        )
+        smap = load_map(json.dumps(doc))
+        command = Command(raw="Bring me the apple", resolved="Bring me the apple")
+        texts = [c.to_text() for c in ground_candidates(smap, command)]
+        assert texts.count("move_to(kitchen)") == 1
+        assert texts.count("place(kitchen)") == 1
 
     def test_duplicate_words_ground_once(self, golden_map):
         command = Command(raw="", resolved="apple apple Apple")
