@@ -217,12 +217,7 @@ def _plan_doc(command, trace, exec_trace, goal_ok: Optional[bool]) -> dict:
         "plan": [
             {
                 "skill": skill.to_text(),
-                "scores": {
-                    c.to_text(): value
-                    for c, value in sorted(
-                        scores.items(), key=lambda item: item[0].sort_key()
-                    )
-                },
+                "scores": {c.to_text(): value for c, value in scores.items()},
             }
             for skill, scores in zip(trace.steps, trace.step_scores)
         ],

@@ -91,17 +91,6 @@ def _segments_touch(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
     return False
 
 
-def segment_distance(p: Point2, a: Point2, b: Point2) -> float:
-    """Distance from p to the closed segment ab."""
-    dx, dy = b.x - a.x, b.y - a.y
-    seg_len_sq = dx * dx + dy * dy
-    if seg_len_sq == 0.0:
-        return euclidean(p, a)
-    t = ((p.x - a.x) * dx + (p.y - a.y) * dy) / seg_len_sq
-    t = max(0.0, min(1.0, t))
-    return math.hypot(p.x - (a.x + t * dx), p.y - (a.y + t * dy))
-
-
 def _signed_area2(vertices: Sequence[Point2]) -> float:
     """Twice the signed area (positive for counter-clockwise contours)."""
     total = 0.0
@@ -144,7 +133,7 @@ class Polygon2:
 
     @cached_property
     def _near_box(self) -> tuple[float, float, float, float]:
-        # segment_distance rounds by a few ulps of the coordinates, so a point
+        # The edge distance rounds by a few ulps of the coordinates, so a point
         # just past BOUNDARY_EPS can still test as BOUNDARY: pad ~45 ulps more.
         xs, ys = sorted([v.x for v in self.vertices]), sorted([v.y for v in self.vertices])
         pad = BOUNDARY_EPS + 1e-14 * max(-xs[0], -ys[0], xs[-1], ys[-1])
@@ -187,22 +176,34 @@ def validate_polygon(raw_vertices: Iterable[Sequence[float] | Point2]) -> Polygo
 
 
 def point_in_polygon(p: Point2, poly: Polygon2) -> Containment:
-    """Three-valued containment via the winding number.
+    """Three-valued containment via the winding number, in one walk of the contour.
 
     BOUNDARY wins whenever p lies within BOUNDARY_EPS of any edge; otherwise
     the winding number decides INSIDE vs OUTSIDE. Works for concave simple
     polygons.
     """
-    for a, b in poly.edges():
-        if segment_distance(p, a, b) <= BOUNDARY_EPS:
-            return Containment.BOUNDARY
+    px, py = p.x, p.y
     winding = 0
-    for a, b in poly.edges():
-        if a.y <= p.y:
-            if b.y > p.y and cross(a, b, p) > 0:
+    a = poly.vertices[-1]
+    for b in poly.vertices:
+        # The distance from p to the closed segment ab, then cross(a, b, p),
+        # inlined: this loop is most of map load and of room_of.
+        ax, ay, by = a.x, a.y, b.y
+        dx, dy = b.x - ax, by - ay
+        seg_len_sq = dx * dx + dy * dy
+        if seg_len_sq == 0.0:
+            distance = math.hypot(px - ax, py - ay)
+        else:
+            t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / seg_len_sq))
+            distance = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+        if distance <= BOUNDARY_EPS:
+            return Containment.BOUNDARY
+        if ay <= py:
+            if by > py and dx * (py - ay) - dy * (px - ax) > 0:
                 winding += 1
-        elif b.y <= p.y and cross(a, b, p) < 0:
+        elif by <= py and dx * (py - ay) - dy * (px - ax) < 0:
             winding -= 1
+        a = b
     return Containment.INSIDE if winding != 0 else Containment.OUTSIDE
 
 

@@ -173,6 +173,8 @@ def _suffix_logprob_sum(payload: dict, prefix_len: int) -> float:
     for logprob in suffix:
         if not isinstance(logprob, (int, float)) or not math.isfinite(logprob):
             raise ScorerFailure("missing logprob for a candidate token")
+        if logprob > 0:
+            raise ScorerFailure(f"positive logprob {logprob} for a candidate token")
         total += logprob
     return total
 

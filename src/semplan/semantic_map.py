@@ -33,6 +33,9 @@ from .geometry import (
 )
 from .jsondoc import check_object, load_object, parse_point
 
+# The move_to target that means the person, never a room or furniture name.
+OPERATOR = "operator"
+
 
 @dataclass(frozen=True)
 class Room:
@@ -123,8 +126,8 @@ def make_map(
     """Assemble and validate a map from entity values.
 
     Raises ValidationError naming the offending entity on duplicate names,
-    dangling references, a room or furniture contour without an anchor,
-    or a furniture anchor outside its room.
+    a room or furniture named OPERATOR, dangling references, a room or
+    furniture contour without an anchor, or a furniture anchor outside its room.
     """
     rooms = tuple(sorted(rooms, key=lambda r: r.name))
     furniture = tuple(sorted(furniture, key=lambda f: f.name))
@@ -144,6 +147,8 @@ def make_map(
                 raise ValidationError(f"<unnamed {label}>", "empty name")
             if e.name in seen:
                 raise ValidationError(e.name, f"duplicate {label} name")
+            if e.name == OPERATOR and label != "door":
+                raise ValidationError(e.name, f"reserved name: move_to({OPERATOR}) means the person")
             seen.add(e.name)
 
     room_names = {r.name: r for r in rooms}
@@ -171,11 +176,14 @@ def anchor(place: Union[Room, Furniture]) -> Point2:
     The area centroid when it lies inside the contour; otherwise, for a
     concave contour, the midpoint of the widest inside interval of a
     horizontal line at about the centroid's height (geometry.scanline_midpoint).
+    That midpoint must lie inside too; on a sliver it lies on the boundary.
     """
     try:
         point = centroid(place.contour)
         if point_in_polygon(point, place.contour) is not Containment.INSIDE:
             point = scanline_midpoint(place.contour, point.y)
+            if point_in_polygon(point, place.contour) is not Containment.INSIDE:
+                raise ValidationError(place.name, "no anchor inside the contour")
     except DegeneratePolygon as exc:
         raise ValidationError(place.name, str(exc)) from None
     return point

@@ -19,7 +19,7 @@ from typing import IO, Optional, Union
 from .errors import InvalidGoalSpec, ParseError, UnknownSkill, ValidationError
 from .geometry import Point2, euclidean
 from .jsondoc import load_object, parse_point
-from .semantic_map import SemanticMap, anchor, room_of
+from .semantic_map import OPERATOR, SemanticMap, anchor, room_of
 from .skills import SkillInstance
 
 HANDOVER_RANGE = 1.0
@@ -90,7 +90,7 @@ def load_world(smap: SemanticMap, source: Union[str, IO]) -> WorldState:
 
 
 def _resolve_location(smap: SemanticMap, world: WorldState, name: str) -> Optional[Point2]:
-    if name == "operator":
+    if name == OPERATOR:
         return world.operator
     place = smap.places.get(name)
     return None if place is None else anchor(place)

@@ -25,7 +25,7 @@ from .errors import (
     UnresolvedAmbiguity,
 )
 from .scorer import ScoreRequest, normalize
-from .semantic_map import SemanticMap
+from .semantic_map import OPERATOR, SemanticMap
 
 SKILL_ARITIES = {
     "move_to": 1,
@@ -108,9 +108,6 @@ class SkillInstance:
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def sort_key(self):
-        return (self.name, self.args)
 
 
 _SKILL_TEXT = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
@@ -217,7 +214,7 @@ def resolve_ambiguity(raw: str, oracle: AnswerOracle) -> Command:
 def extract_objects(smap: SemanticMap, resolved: str) -> tuple[str, ...]:
     """Object nouns: command words minus function words and location names."""
     location_names = {name.lower() for name in smap.places}
-    location_names.add("operator")
+    location_names.add(OPERATOR)
     seen = []
     for match in _WORD.finditer(resolved):
         word = match.group(0).lower()
@@ -229,9 +226,8 @@ def extract_objects(smap: SemanticMap, resolved: str) -> tuple[str, ...]:
 
 
 def ground_candidates(smap: SemanticMap, command: Command) -> tuple[SkillInstance, ...]:
-    """Instantiate every skill over map locations and command objects."""
-    locations = sorted([*smap.places, "operator"])
-    furniture = sorted(f.name for f in smap.furniture)
+    """Every skill over map places and command objects, sorted by (name, args)."""
+    locations = sorted([*smap.places, OPERATOR])
     objects = extract_objects(smap, command.resolved)
 
     candidates = [SkillInstance("move_to", (loc,)) for loc in locations]
@@ -239,11 +235,11 @@ def ground_candidates(smap: SemanticMap, command: Command) -> tuple[SkillInstanc
         candidates.append(SkillInstance("find_obj", (obj,)))
         candidates.append(SkillInstance("grasp", (obj,)))
         candidates.append(SkillInstance("answer", (obj,)))
-    candidates.extend(SkillInstance("place", (f,)) for f in furniture)
+    candidates.extend(SkillInstance("place", (f.name,)) for f in smap.furniture)
     candidates.append(SkillInstance("handover"))
     candidates.append(SkillInstance("follow_person"))
     candidates.append(SkillInstance("done"))
-    return tuple(sorted(candidates, key=SkillInstance.sort_key))
+    return tuple(sorted(candidates, key=lambda c: (c.name, c.args)))
 
 
 def history_hints(history: Iterable[SkillInstance]):
@@ -271,7 +267,7 @@ def admissible_skills(
     held: Optional[str],
     found: frozenset,
 ) -> tuple[SkillInstance, ...]:
-    """Candidates surviving rules R1 to R4, in (name, args) order."""
+    """Candidates surviving rules R1 to R4, in skill_set order."""
     previous = history[-1].name if history else None
     out = []
     for skill in skill_set:
@@ -287,7 +283,6 @@ def admissible_skills(
         if skill.name == "find_obj" and held is not None:
             continue
         out.append(skill)
-    out.sort(key=SkillInstance.sort_key)
     return tuple(out)
 
 
@@ -309,7 +304,7 @@ def _score_step(command: Command, trace: PlanTrace, scorer, skill_set):
 
 
 def plan_next(command: Command, trace: PlanTrace, scorer, skill_set) -> SkillInstance:
-    """Argmax of the normalized scores over the admissible candidates."""
+    """Argmax of the normalized admissible scores; a tie goes to the first in skill_set."""
     skill, _ = _score_step(command, trace, scorer, skill_set)
     return skill
 
@@ -327,7 +322,10 @@ def plan_task(
     skill_set,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> PlanTrace:
-    """Append argmax skills until done is selected; cap at max_steps."""
+    """Append argmax skills until done is selected; cap at max_steps.
+
+    Candidates keep skill_set order, and a tie goes to the first of them.
+    """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     trace = PlanTrace(metadata=_scorer_metadata(scorer))

@@ -58,6 +58,30 @@ def min_edge_distance(p: tuple[float, float], vertices: list[tuple[float, float]
     )
 
 
+def two_walk_containment(
+    p: tuple[float, float], vertices: list[tuple[float, float]], eps: float
+) -> str:
+    """"boundary", "inside" or "outside": the edge distances, then the winding number.
+
+    The reference for geometry.point_in_polygon, which does both in one
+    walk; the float operations are the same, so the two agree exactly.
+    """
+    n = len(vertices)
+    edges = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    if any(point_segment_distance(p, a, b) <= eps for a, b in edges):
+        return "boundary"
+    px, py = p
+    winding = 0
+    for (ax, ay), (bx, by) in edges:
+        side = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        if ay <= py:
+            if by > py and side > 0:
+                winding += 1
+        elif by <= py and side < 0:
+            winding -= 1
+    return "inside" if winding != 0 else "outside"
+
+
 def check_rule_compliance(steps: list[tuple[str, tuple[str, ...]]]) -> list[str]:
     """Planning-rule violations in a (name, args) step sequence.
 

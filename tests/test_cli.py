@@ -7,6 +7,10 @@ from pathlib import Path
 import pytest
 
 from semplan.cli import main
+from semplan.semantic_map import load_map
+from semplan.skills import ground_candidates, resolve_ambiguity
+
+from mockllm import MockLlmServer
 
 
 def maps(fixtures_dir, name):
@@ -246,6 +250,27 @@ class TestPlanTask:
             )
         )
         assert main(["plan-task", "--config", str(config)]) == 2
+
+    def test_llm_positive_logprob_is_one_error_line(
+        self, fixtures_dir, tmp_path, monkeypatch, capsys
+    ):
+        smap = load_map((fixtures_dir / "maps" / "golden_arena.json").read_text())
+        command = resolve_ambiguity("Bring me the apple", lambda _c: "")
+        logprobs = {c.to_text(): [-1.0] for c in ground_candidates(smap, command)}
+        logprobs["done"] = [800.0]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "map": str(fixtures_dir / "maps" / "golden_arena.json"),
+            "world": str(fixtures_dir / "scenarios" / "bring_apple" / "world.json"),
+            "command": "Bring me the apple",
+            "scorer": {"kind": "llm"},
+        }))
+        with MockLlmServer(logprobs) as server:
+            monkeypatch.setenv("SEMPLAN_LLM_ENDPOINT", server.url)
+            monkeypatch.setenv("SEMPLAN_LLM_KEY", "test-key")
+            assert main(["plan-task", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: positive logprob") and err.count("\n") == 1, err
 
     def test_human_format_override(self, fixtures_dir, capsys):
         rc = main(

@@ -5,6 +5,7 @@ import pytest
 
 from semplan.errors import DegeneratePolygon, InvalidPolygon
 from semplan.geometry import (
+    BOUNDARY_EPS,
     Containment,
     Point2,
     centroid,
@@ -14,7 +15,7 @@ from semplan.geometry import (
     validate_polygon,
 )
 
-from oracles import min_edge_distance, ray_cast_contains
+from oracles import min_edge_distance, ray_cast_contains, two_walk_containment
 
 UNIT_SQUARE = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -131,6 +132,53 @@ class TestPointInPolygon:
             before = point_in_polygon(Point2(*p), poly)
             after = point_in_polygon(Point2(p[0] + dx, p[1] + dy), moved)
             assert before is after
+
+
+def points_ulps_either_side_of_eps(contour):
+    """Points stepping by ulps across BOUNDARY_EPS beyond each extreme vertex."""
+    for axis, sign in ((0, 1), (0, -1), (1, 1), (1, -1)):
+        vertex = max(contour.vertices, key=lambda v: sign * (v.x, v.y)[axis])
+        coords = [vertex.x, vertex.y]
+        coords[axis] += sign * BOUNDARY_EPS
+        for _ in range(6):
+            yield Point2(*coords)
+            coords[axis] = math.nextafter(coords[axis], sign * math.inf)
+
+
+class TestPointInPolygonOneWalk:
+    """point_in_polygon against the reference that walks the contour twice."""
+
+    def check(self, p, poly):
+        raw = [(v.x, v.y) for v in poly.vertices]
+        expected = two_walk_containment((p.x, p.y), raw, BOUNDARY_EPS)
+        assert point_in_polygon(p, poly).value == expected
+
+    def test_agrees_ulps_either_side_of_eps(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            contour = validate_polygon([(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)])
+            for p in points_ulps_either_side_of_eps(contour):
+                self.check(p, contour)
+
+    def test_agrees_a_few_ulps_around_exactly_eps_from_an_edge(self):
+        rect = validate_polygon([(0, 0), (4, 0), (4, 3), (0, 3)])
+        for toward in (-math.inf, math.inf):
+            y = -BOUNDARY_EPS  # (2, y) starts exactly BOUNDARY_EPS below the bottom edge
+            for _ in range(4):
+                self.check(Point2(2.0, y), rect)
+                y = math.nextafter(y, toward)
+
+    def test_agrees_on_concave_polygons(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            raw, poly = random_simple_polygon(rng)
+            for p in points_ulps_either_side_of_eps(poly):
+                self.check(p, poly)
+            for _ in range(10):
+                x, y = rng.choice(raw)
+                self.check(Point2(x + rng.uniform(-1, 1), y + rng.uniform(-1, 1)), poly)
+            for v in poly.vertices:
+                self.check(v, poly)
 
 
 class TestCentroid:

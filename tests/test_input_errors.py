@@ -156,6 +156,29 @@ class TestRegressions:
         assert_input_error(argv)
         assert run(argv)[1].startswith("error: crumb: ")
 
+    @pytest.mark.parametrize("kind, entity", [
+        ("rooms", {"name": "operator", "contour": [[20, 0], [24, 0], [24, 4], [20, 4]]}),
+        ("furniture", {"name": "operator", "room": "kitchen",
+                       "contour": [[4, 4], [5, 4], [5, 5], [4, 5]]}),
+    ])
+    def test_place_named_operator(self, tmp_path, kind, entity):
+        doc = copy.deepcopy(GOLDEN["map"])
+        doc[kind].append(entity)
+        write_scenario(tmp_path, map=json.dumps(doc))
+        argv = ["map", "validate", tmp_path / "map.json"]
+        assert_input_error(argv)
+        assert run(argv)[1].startswith("error: operator: ")
+
+    def test_sliver_room_anchor_on_its_boundary(self, tmp_path):
+        doc = {"rooms": [
+            {"name": "hall", "contour": [[0, -1], [4, -1], [4, 2], [0, 2]]},
+            {"name": "sliver", "contour": [[1, 0], [2, 2e-21], [1, 1e-9]]},
+        ]}
+        write_scenario(tmp_path, map=json.dumps(doc))
+        argv = ["map", "validate", tmp_path / "map.json"]
+        assert_input_error(argv)
+        assert run(argv)[1].startswith("error: sliver: ")
+
     def test_map_not_utf8(self, tmp_path):
         write_scenario(tmp_path)
         (tmp_path / "map.json").write_bytes(b'{"rooms": [{"name": "k\xff\xfe"}]}')

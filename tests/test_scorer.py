@@ -216,6 +216,11 @@ class TestLlmScore:
         scores = {c.to_text(): v for c, v in mixed.scores.items()}
         assert scores == {"done": 0.0, "answer(apple)": math.exp(-1.0)}
 
+    def test_positive_logprob_is_a_scorer_failure(self):
+        with MockLlmServer({"done": [800.0], "handover": [-1.0]}) as server:
+            with pytest.raises(ScorerFailure):
+                llm_score(request_for("done", "handover"), config_for(server))
+
     def test_prompt_includes_command_and_history(self):
         request = request_for(
             "grasp(apple)",
@@ -354,6 +359,14 @@ def reply(offsets, logprobs):
 class TestSuffixLogprobSum:
     def test_sums_tokens_at_or_after_the_candidate(self):
         assert _suffix_logprob_sum(reply([0, 5, 9], [None, -0.5, -0.25]), 5) == -0.75
+
+    @pytest.mark.parametrize("logprob", [800, 1e-300])
+    def test_positive_logprob_rejected(self, logprob):
+        with pytest.raises(ScorerFailure):
+            _suffix_logprob_sum(reply([0, 5, 9], [None, -0.5, logprob]), 5)
+
+    def test_zero_logprob_accepted(self):
+        assert _suffix_logprob_sum(reply([0, 5], [None, 0]), 5) == 0.0
 
     def test_truncated_reply_rejected(self):
         with pytest.raises(ScorerFailure):

@@ -378,6 +378,10 @@ class TestAdmissibleSkills:
         texts = self.names(())
         assert texts == sorted(texts)
 
+    def test_keeps_skill_set_order(self):
+        kept = admissible_skills(self.universe[::-1], (), None, frozenset())
+        assert [s.to_text() for s in kept] == self.names(())[::-1]
+
 
 class TestPlanNext:
     def test_argmax(self, golden_map):
@@ -399,6 +403,20 @@ class TestPlanNext:
         )
         chosen = plan_next(command, trace, scorer, universe)
         assert chosen == parse_skill("grasp(apple)")
+
+    def test_tie_goes_to_the_first_candidate_in_skill_set(self):
+        command = Command(raw="x", resolved="x")
+        universe = (
+            parse_skill("move_to(table)"),
+            parse_skill("grasp(apple)"),
+            parse_skill("done"),
+        )
+        trace = PlanTrace(steps=(parse_skill("find_obj(apple)"),))
+        scorer = TableScorer(
+            {"grasp(apple)": 0.5, "move_to(table)": 0.5, "done": 0.0}, fallback=0.0
+        )
+        chosen = plan_next(command, trace, scorer, universe)
+        assert chosen == parse_skill("move_to(table)")
 
 
 GOLDEN_STEP_TABLES = (

@@ -19,7 +19,6 @@ from semplan.scorer import ScriptedScorer, load_scenario
 from semplan.semantic_map import load_map
 from semplan.sim import check_goal, load_world, run_plan
 from semplan.skills import (
-    PlanTrace,
     admissible_skills,
     ground_candidates,
     history_hints,
