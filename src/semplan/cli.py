@@ -10,6 +10,7 @@ repeated runs of a scripted scenario are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -178,7 +179,10 @@ def _answer_oracle(answers, interactive: bool):
         if queue:
             return queue.pop(0)
         if interactive:
-            return input(f"{clarification.question} ")
+            try:
+                return input(f"{clarification.question} ")
+            except EOFError:  # Ctrl-D at the prompt: no answer
+                pass
         return ""
 
     return respond
@@ -299,6 +303,7 @@ def cmd_sim_run(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semplan",

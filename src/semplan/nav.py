@@ -24,11 +24,6 @@ START = "start"
 GOAL = "goal"
 DOOR = "door"
 
-# Node ids: ("start",), ("goal",) and ("door", name). Tuples keep door
-# names from colliding with the two reserved endpoints.
-NodeId = tuple
-
-
 @dataclass(frozen=True)
 class NavNode:
     """One vertex of the door graph."""
@@ -52,13 +47,17 @@ class Path:
 
 @dataclass(frozen=True)
 class DoorGraph:
-    """Start, goal and passable doors; edges join nodes sharing a room."""
+    """Start, goal and passable doors; edges join nodes sharing a room.
+
+    Node ids are ("start",), ("goal",) and ("door", name). Tuples keep door
+    names from colliding with the two reserved endpoints.
+    """
 
     nodes: dict
     edges: dict
     buckets: dict  # room name -> ids of the nodes in that room
 
-    def neighbours(self, node_id: NodeId):
+    def neighbours(self, node_id: tuple):
         """(neighbour id, edge length) pairs, sorted by neighbour id."""
         found = self.edges.get(node_id)
         if found is None:
@@ -111,13 +110,13 @@ def plan_path(smap: SemanticMap, start: Point2, goal: Union[str, Point2]) -> Pat
     goal_anchor = goal if isinstance(goal, Point2) else furniture_anchor(smap, goal)
     graph = build_door_graph(smap, start, goal_anchor)
 
-    start_id: NodeId = (START,)
-    goal_id: NodeId = (GOAL,)
+    start_id = (START,)
+    goal_id = (GOAL,)
     # Priority = (distance, door-name sequence); the sequence settles ties.
-    best: dict[NodeId, tuple[float, tuple[str, ...]]] = {start_id: (0.0, ())}
-    parent: dict[NodeId, NodeId] = {}
-    queue: list[tuple[float, tuple[str, ...], NodeId]] = [(0.0, (), start_id)]
-    settled: set[NodeId] = set()
+    best: dict[tuple, tuple[float, tuple[str, ...]]] = {start_id: (0.0, ())}
+    parent: dict[tuple, tuple] = {}
+    queue: list[tuple[float, tuple[str, ...], tuple]] = [(0.0, (), start_id)]
+    settled: set[tuple] = set()
 
     while queue:
         dist, names, node_id = heapq.heappop(queue)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from semplan.cli import main
+from semplan.cli import build_parser, main
 from semplan.semantic_map import load_map
 from semplan.skills import ground_candidates, resolve_ambiguity
 
@@ -214,6 +214,20 @@ class TestPlanTask:
         assert doc["command"]["resolved"] == "Bring me the apple"
         assert doc["command"]["substitutions"] == [["object", "apple"]]
 
+    def test_eof_at_prompt_is_no_answer(self, fixtures_dir, monkeypatch, capsys):
+        def end_of_input(_prompt):
+            raise EOFError
+
+        monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+        monkeypatch.setattr("builtins.input", end_of_input)
+        rc = main(
+            ["plan-task", "--config", scenario(fixtures_dir, "bring_ambiguous_object")]
+        )
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: no answer for ambiguous token 'object'\n"
+        )
+
     def test_plan_too_long(self, fixtures_dir, capsys):
         rc = main(["plan-task", "--config", scenario(fixtures_dir, "stall")])
         assert rc == 1
@@ -362,3 +376,52 @@ class TestSimRun:
             ]
         )
         assert rc == 2
+
+
+def run_cli(capsys, argv, fresh=False):
+    """(exit code, stdout, stderr) of one main call; fresh rebuilds the parser."""
+    if fresh:
+        build_parser.cache_clear()
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call leaks into the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_close_door_does_not_carry_over(self, fixtures_dir, capsys):
+        argv = [
+            "plan-path", maps(fixtures_dir, "parallel_doors.json"),
+            "--start", "1", "0", "--goal", "7,0", "--format", "json",
+        ]
+        expected = run_cli(capsys, argv, fresh=True)
+        assert json.loads(expected[1])["doors"] == ["door_mid"]
+        closed = run_cli(capsys, argv + ["--close-door", "door_mid"])
+        assert json.loads(closed[1])["doors"] == ["door_up"]
+        assert run_cli(capsys, argv) == expected
+
+    def test_answer_does_not_carry_over(self, fixtures_dir, capsys):
+        argv = ["plan-task", "--config", scenario(fixtures_dir, "bring_ambiguous_object")]
+        expected = run_cli(capsys, argv, fresh=True)
+        assert expected == (2, "", "error: no answer for ambiguous token 'object'\n")
+        assert run_cli(capsys, argv + ["--answer", "apple"])[0] == 0
+        assert run_cli(capsys, argv) == expected
+
+    @pytest.mark.parametrize("before, code", [
+        (["plan-path", "--start", "1"], 2),
+        (["plan-task", "--answer", "apple", "--bogus"], 2),
+        (["--help"], 0),
+        (["plan-path", "--help"], 0),
+    ])
+    def test_usage_error_or_help_then_valid_call(self, fixtures_dir, capsys, before, code):
+        argv = [
+            "plan-path", maps(fixtures_dir, "parallel_doors.json"),
+            "--start", "1", "0", "--goal", "7,0",
+        ]
+        expected = run_cli(capsys, argv, fresh=True)
+        assert run_cli(capsys, before)[0] == code
+        assert run_cli(capsys, argv) == expected

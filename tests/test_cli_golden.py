@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from semplan.cli import main
+from semplan.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden" / "cli_outputs.json"
 CASES = json.loads(GOLDEN.read_text())
@@ -22,6 +22,18 @@ def test_golden_covers_every_subcommand():
     "case", CASES, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(CASES)]
 )
 def test_cli_output_matches_golden(case, fixtures_dir, tmp_path, capsys):
+    assert replay(case, fixtures_dir, tmp_path, capsys) == expected(case)
+
+
+def test_reverse_order_through_one_parser(fixtures_dir, tmp_path, capsys):
+    """All cases, last first, through one parser: none leaks state into a later one."""
+    build_parser.cache_clear()
+    for case in reversed(CASES):
+        assert replay(case, fixtures_dir, tmp_path, capsys) == expected(case), case["argv"]
+    assert build_parser.cache_info().misses == 1
+
+
+def replay(case, fixtures_dir, tmp_path, capsys) -> tuple:
     plan = tmp_path / "plan.txt"
     if "plan" in case:
         plan.write_text("".join(line + "\n" for line in case["plan"]))
@@ -31,4 +43,8 @@ def test_cli_output_matches_golden(case, fixtures_dir, tmp_path, capsys):
     ]
     code = main(argv)
     out, err = capsys.readouterr()
-    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+    return code, out, err
+
+
+def expected(case) -> tuple:
+    return case["exit"], case["stdout"], case["stderr"]
