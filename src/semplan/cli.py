@@ -182,7 +182,8 @@ def _answer_oracle(answers, interactive: bool):
             try:
                 return input(f"{clarification.question} ")
             except EOFError:  # Ctrl-D at the prompt: no answer
-                pass
+                if sys.stdout.isatty():
+                    print()  # end the prompt's line before the error line
         return ""
 
     return respond

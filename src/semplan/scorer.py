@@ -13,6 +13,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Union
 
 from .errors import ConfigMissing, ParseError, ScorerFailure, ValidationError
@@ -24,6 +25,8 @@ ENDPOINT_VAR = "SEMPLAN_LLM_ENDPOINT"
 KEY_VAR = "SEMPLAN_LLM_KEY"
 MODEL_VAR = "SEMPLAN_LLM_MODEL"
 DEFAULT_MODEL = "text-davinci-003"
+
+_NUMBER = (int, float)
 
 
 @dataclass(frozen=True)
@@ -46,17 +49,39 @@ class ScoreResponse:
     scores: dict
 
     def __post_init__(self):
-        if not self.scores:
+        values = self.scores.values()
+        if not values:
             raise ScorerFailure("empty score table")
+        try:
+            valid = (
+                all(map(isinstance, values, repeat(_NUMBER)))
+                and min(values) >= 0
+                and max(values) > 0
+                and math.isfinite(math.fsum(values))
+            )
+        except (OverflowError, ValueError):
+            valid = False
+        if not valid:
+            # Name the first culprit; a sum that overflows from finite scores passes.
+            self._check_each()
+
+    def _check_each(self):
         positive = False
         for candidate, value in self.scores.items():
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not isinstance(value, _NUMBER) or not _finite(value):
                 raise ScorerFailure(f"non-finite score for {candidate}")
             if value < 0:
                 raise ScorerFailure(f"negative score for {candidate}")
             positive = positive or value > 0
         if not positive:
             raise ScorerFailure("all scores are zero")
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def normalize(response: ScoreResponse) -> dict:
@@ -120,12 +145,10 @@ class ScriptedScorer:
         if step >= len(self.scenario.rows):
             raise ScorerFailure(f"scenario exhausted at history length {step}")
         table = self.scenario.rows[step]
-        scores = {}
-        for candidate in request.candidates:
-            text = candidate.to_text()
-            if text not in table:
-                raise ScorerFailure(f"no scripted score for {text} at step {step}")
-            scores[candidate] = table[text]
+        try:
+            scores = {c: table[c.to_text()] for c in request.candidates}
+        except KeyError as err:
+            raise ScorerFailure(f"no scripted score for {err.args[0]} at step {step}") from None
         return ScoreResponse(scores)
 
 

@@ -13,7 +13,7 @@ trace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Optional, Union
 
 from .errors import InvalidGoalSpec, ParseError, UnknownSkill, ValidationError
@@ -40,12 +40,12 @@ class SkillOutcome:
     reason: Optional[str] = None
 
     @classmethod
-    def success(cls) -> "SkillOutcome":
-        return cls(ok=True)
-
-    @classmethod
     def failed(cls, reason: str) -> "SkillOutcome":
         return cls(ok=False, reason=reason)
+
+
+# Outcomes are values, so every success is this one.
+_SUCCESS = SkillOutcome(ok=True)
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,8 @@ def _go_to(smap: SemanticMap, world: WorldState, target: Point2):
     here, there = room_of(smap, world.robot), room_of(smap, target)
     if here is None or there is None or smap.components[here] != smap.components[there]:
         return world, SkillOutcome.failed(NO_PATH)
-    return replace(world, robot=target), SkillOutcome.success()
+    return WorldState(world.placements, target, world.operator, world.held, world.found,
+                      world.delivered), _SUCCESS
 
 
 def apply_skill(smap: SemanticMap, world: WorldState, skill: SkillInstance):
@@ -123,7 +124,8 @@ def apply_skill(smap: SemanticMap, world: WorldState, skill: SkillInstance):
             return world, SkillOutcome.failed(NOT_FOUND)
         if smap.find_furniture(furniture).room != room_of(smap, world.robot):
             return world, SkillOutcome.failed(NOT_VISIBLE)
-        return replace(world, found=world.found | {obj}), SkillOutcome.success()
+        return WorldState(world.placements, world.robot, world.operator, world.held,
+                          world.found | {obj}, world.delivered), _SUCCESS
 
     if name == "grasp":
         obj = skill.args[0]
@@ -137,10 +139,8 @@ def apply_skill(smap: SemanticMap, world: WorldState, skill: SkillInstance):
         if smap.find_furniture(furniture).room != room_of(smap, world.robot):
             return world, SkillOutcome.failed(NOT_IN_ROOM)
         placements = {k: v for k, v in world.placements.items() if k != obj}
-        return (
-            replace(world, placements=placements, held=obj, found=world.found - {obj}),
-            SkillOutcome.success(),
-        )
+        return WorldState(placements, world.robot, world.operator, obj, world.found - {obj},
+                          world.delivered), _SUCCESS
 
     if name == "place":
         furniture_name = skill.args[0]
@@ -153,23 +153,19 @@ def apply_skill(smap: SemanticMap, world: WorldState, skill: SkillInstance):
         placements = dict(
             sorted(list(world.placements.items()) + [(world.held, furniture_name)])
         )
-        return replace(world, placements=placements, held=None), SkillOutcome.success()
+        return WorldState(placements, world.robot, world.operator, None, world.found,
+                          world.delivered), _SUCCESS
 
     if name == "handover":
         if world.held is None:
             return world, SkillOutcome.failed(NOTHING_HELD)
         if euclidean(world.robot, world.operator) > HANDOVER_RANGE:
             return world, SkillOutcome.failed(TOO_FAR)
-        return (
-            replace(world, held=None, delivered=world.delivered + (world.held,)),
-            SkillOutcome.success(),
-        )
+        return WorldState(world.placements, world.robot, world.operator, None, world.found,
+                          world.delivered + (world.held,)), _SUCCESS
 
-    if name == "answer":
-        return world, SkillOutcome.success()
-
-    if name == "done":
-        return world, SkillOutcome.success()
+    if name == "answer" or name == "done":
+        return world, _SUCCESS
 
     raise UnknownSkill(f"simulator has no semantics for {name}")
 

@@ -16,15 +16,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .errors import (
     ParseError,
     PlanTooLong,
+    ScorerFailure,
     UnknownSkill,
     UnresolvedAmbiguity,
 )
-from .scorer import ScoreRequest, normalize
+from .scorer import ScoreRequest, ScoreResponse, normalize
 from .semantic_map import OPERATOR, SemanticMap
 
 SKILL_ARITIES = {
@@ -67,28 +70,29 @@ _STOPWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SkillInstance:
     """A skill name with grounded arguments, e.g. grasp(apple)."""
 
     name: str
     args: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.name not in SKILL_ARITIES:
-            raise UnknownSkill(f"unknown skill: {self.name}")
-        object.__setattr__(self, "args", tuple(self.args))
-        arity = SKILL_ARITIES[self.name]
-        if len(self.args) != arity:
-            raise ValueError(
-                f"{self.name} takes {arity} argument(s), got {len(self.args)}"
-            )
+    def __init__(self, name: str, args: Iterable[str] = ()):
+        arity = SKILL_ARITIES.get(name)
+        if arity is None:
+            raise UnknownSkill(f"unknown skill: {name}")
+        args = tuple(args)
+        if len(args) != arity:
+            raise ValueError(f"{name} takes {arity} argument(s), got {len(args)}")
         # The planner hashes and prints each instance many times per step, so
         # both are cached on first use, outside the fields (==, repr and the
-        # hash value stay the fields'). Set with object.__setattr__: reading
-        # __dict__, as functools.cached_property does, slowed every op.
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_text", None)
+        # hash value stay the fields'). Set with object.__setattr__: going
+        # through __dict__, as functools.cached_property does, slowed every op.
+        set_attr = object.__setattr__
+        set_attr(self, "name", name)
+        set_attr(self, "args", args)
+        set_attr(self, "_hash", None)
+        set_attr(self, "_text", None)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -109,6 +113,8 @@ class SkillInstance:
     def __str__(self) -> str:
         return self.to_text()
 
+
+_NAME = attrgetter("name")
 
 _SKILL_TEXT = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
 
@@ -226,20 +232,23 @@ def extract_objects(smap: SemanticMap, resolved: str) -> tuple[str, ...]:
 
 
 def ground_candidates(smap: SemanticMap, command: Command) -> tuple[SkillInstance, ...]:
-    """Every skill over map places and command objects, sorted by (name, args)."""
-    locations = sorted([*smap.places, OPERATOR])
-    objects = extract_objects(smap, command.resolved)
+    """Every skill over map places and command objects, sorted by (name, args).
 
-    candidates = [SkillInstance("move_to", (loc,)) for loc in locations]
-    for obj in objects:
-        candidates.append(SkillInstance("find_obj", (obj,)))
-        candidates.append(SkillInstance("grasp", (obj,)))
-        candidates.append(SkillInstance("answer", (obj,)))
-    candidates.extend(SkillInstance("place", (f.name,)) for f in smap.furniture)
-    candidates.append(SkillInstance("handover"))
-    candidates.append(SkillInstance("follow_person"))
-    candidates.append(SkillInstance("done"))
-    return tuple(sorted(candidates, key=lambda c: (c.name, c.args)))
+    Names are emitted in sorted order, each over its sorted arguments.
+    """
+    objects = extract_objects(smap, command.resolved)
+    locations = sorted([*smap.places, OPERATOR])
+    furniture = sorted([f.name for f in smap.furniture])
+    return (
+        *[SkillInstance("answer", (obj,)) for obj in objects],
+        SkillInstance("done"),
+        *[SkillInstance("find_obj", (obj,)) for obj in objects],
+        SkillInstance("follow_person"),
+        *[SkillInstance("grasp", (obj,)) for obj in objects],
+        SkillInstance("handover"),
+        *[SkillInstance("move_to", (loc,)) for loc in locations],
+        *[SkillInstance("place", (name,)) for name in furniture],
+    )
 
 
 def history_hints(history: Iterable[SkillInstance]):
@@ -267,46 +276,50 @@ def admissible_skills(
     held: Optional[str],
     found: frozenset,
 ) -> tuple[SkillInstance, ...]:
-    """Candidates surviving rules R1 to R4, in skill_set order."""
+    """Candidates surviving rules R1 to R4, in skill_set order.
+
+    Every rule but R2 depends on the name alone, so each run of equal
+    names is kept or dropped whole.
+    """
     previous = history[-1].name if history else None
     out = []
-    for skill in skill_set:
-        if skill.name == "done":
-            out.append(skill)
+    for name, run in groupby(skill_set, _NAME):
+        if name == "done":
+            out.extend(run)
+        elif name == previous:
             continue
-        if skill.name == previous:
-            continue
-        if skill.name == "grasp" and (skill.args[0] not in found or held is not None):
-            continue
-        if skill.name in ("place", "handover") and held is None:
-            continue
-        if skill.name == "find_obj" and held is not None:
-            continue
-        out.append(skill)
+        elif name == "grasp":
+            if held is None:
+                out.extend(skill for skill in run if skill.args[0] in found)
+        elif name in ("place", "handover"):
+            if held is not None:
+                out.extend(run)
+        elif name != "find_obj" or held is None:
+            out.extend(run)
     return tuple(out)
 
 
-def _score_step(command: Command, trace: PlanTrace, scorer, skill_set):
-    held, found = history_hints(trace.steps)
-    candidates = admissible_skills(skill_set, trace.steps, held, found)
+def _step(command: Command, history: tuple, scorer, skill_set):
+    """The argmax admissible skill after history, and the normalized scores."""
+    held, found = history_hints(history)
+    candidates = admissible_skills(skill_set, history, held, found)
     assert candidates, "done keeps the candidate set nonempty"
-    request = ScoreRequest(
-        command=command.resolved, history=trace.steps, candidates=candidates
-    )
-    distribution = normalize(scorer.score(request))
-    best = None
-    best_score = float("-inf")
-    for candidate in candidates:
-        score = distribution[candidate]
-        if score > best_score:
-            best, best_score = candidate, score
-    return best, distribution
+    request = ScoreRequest(command=command.resolved, history=history, candidates=candidates)
+    response = scorer.score(request)
+    keys = tuple(response.scores)
+    if keys != candidates:
+        if set(keys) != set(candidates):
+            raise ScorerFailure("scorer must score exactly the candidates")
+        response = ScoreResponse({c: response.scores[c] for c in candidates})
+        keys = tuple(response.scores)
+    distribution = normalize(response)
+    values = list(distribution.values())
+    return keys[values.index(max(values))], distribution
 
 
 def plan_next(command: Command, trace: PlanTrace, scorer, skill_set) -> SkillInstance:
     """Argmax of the normalized admissible scores; a tie goes to the first in skill_set."""
-    skill, _ = _score_step(command, trace, scorer, skill_set)
-    return skill
+    return _step(command, trace.steps, scorer, skill_set)[0]
 
 
 def _scorer_metadata(scorer) -> tuple[tuple[str, str], ...]:
@@ -328,14 +341,13 @@ def plan_task(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    trace = PlanTrace(metadata=_scorer_metadata(scorer))
+    metadata = _scorer_metadata(scorer)
+    steps: tuple[SkillInstance, ...] = ()
+    step_scores = []
     for _ in range(max_steps):
-        skill, distribution = _score_step(command, trace, scorer, skill_set)
-        trace = PlanTrace(
-            steps=trace.steps + (skill,),
-            step_scores=trace.step_scores + (distribution,),
-            metadata=trace.metadata,
-        )
+        skill, distribution = _step(command, steps, scorer, skill_set)
+        steps += (skill,)
+        step_scores.append(distribution)
         if skill.name == "done":
-            return trace
+            return PlanTrace(steps=steps, step_scores=tuple(step_scores), metadata=metadata)
     raise PlanTooLong(f"done not selected within {max_steps} steps")

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from semplan.cli import build_parser, main
+from semplan.cli import _answer_oracle, build_parser, main
 from semplan.semantic_map import load_map
-from semplan.skills import ground_candidates, resolve_ambiguity
+from semplan.skills import Clarification, ground_candidates, resolve_ambiguity
 
 from mockllm import MockLlmServer
 
@@ -227,6 +227,19 @@ class TestPlanTask:
         assert capsys.readouterr() == (
             "", "error: no answer for ambiguous token 'object'\n"
         )
+
+    @pytest.mark.parametrize("stdout_tty, printed", [(True, "\n"), (False, "")])
+    def test_eof_at_a_terminal_prompt_ends_the_prompt_line(
+        self, monkeypatch, capsys, stdout_tty, printed
+    ):
+        def end_of_input(_prompt):
+            raise EOFError
+
+        monkeypatch.setattr("builtins.input", end_of_input)
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: stdout_tty)
+        respond = _answer_oracle([], interactive=True)
+        assert respond(Clarification(question='What does "it" refer to?', slot="it")) == ""
+        assert capsys.readouterr() == (printed, "")
 
     def test_plan_too_long(self, fixtures_dir, capsys):
         rc = main(["plan-task", "--config", scenario(fixtures_dir, "stall")])

@@ -1,0 +1,190 @@
+"""The planner's one-pass step against the per-candidate loop it replaced.
+
+The reference functions below are the earlier grounding, admissibility and
+planning code, kept verbatim as an oracle: a step must choose the same
+skill, give the same normalized scores (same keys in the same order, equal
+floats) and raise PlanTooLong in the same cases.
+"""
+
+import json
+import random
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semplan.errors import PlanTooLong
+from semplan.scorer import ScoreRequest, ScoreResponse, normalize
+from semplan.semantic_map import OPERATOR, load_map
+from semplan.skills import (
+    Command,
+    PlanTrace,
+    SkillInstance,
+    admissible_skills,
+    extract_objects,
+    ground_candidates,
+    history_hints,
+    plan_next,
+    plan_task,
+)
+
+from mapgen import random_grid_map
+
+
+def reference_ground_candidates(smap, command):
+    locations = sorted([*smap.places, OPERATOR])
+    objects = extract_objects(smap, command.resolved)
+
+    candidates = [SkillInstance("move_to", (loc,)) for loc in locations]
+    for obj in objects:
+        candidates.append(SkillInstance("find_obj", (obj,)))
+        candidates.append(SkillInstance("grasp", (obj,)))
+        candidates.append(SkillInstance("answer", (obj,)))
+    candidates.extend(SkillInstance("place", (f.name,)) for f in smap.furniture)
+    candidates.append(SkillInstance("handover"))
+    candidates.append(SkillInstance("follow_person"))
+    candidates.append(SkillInstance("done"))
+    return tuple(sorted(candidates, key=lambda c: (c.name, c.args)))
+
+
+def reference_admissible_skills(skill_set, history, held, found):
+    previous = history[-1].name if history else None
+    out = []
+    for skill in skill_set:
+        if skill.name == "done":
+            out.append(skill)
+            continue
+        if skill.name == previous:
+            continue
+        if skill.name == "grasp" and (skill.args[0] not in found or held is not None):
+            continue
+        if skill.name in ("place", "handover") and held is None:
+            continue
+        if skill.name == "find_obj" and held is not None:
+            continue
+        out.append(skill)
+    return tuple(out)
+
+
+def reference_score_step(command, trace, scorer, skill_set):
+    held, found = history_hints(trace.steps)
+    candidates = reference_admissible_skills(skill_set, trace.steps, held, found)
+    assert candidates, "done keeps the candidate set nonempty"
+    request = ScoreRequest(
+        command=command.resolved, history=trace.steps, candidates=candidates
+    )
+    distribution = normalize(scorer.score(request))
+    best = None
+    best_score = float("-inf")
+    for candidate in candidates:
+        score = distribution[candidate]
+        if score > best_score:
+            best, best_score = candidate, score
+    return best, distribution
+
+
+def reference_plan_task(command, scorer, skill_set, max_steps):
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
+    trace = PlanTrace(metadata=())
+    for _ in range(max_steps):
+        skill, distribution = reference_score_step(command, trace, scorer, skill_set)
+        trace = PlanTrace(
+            steps=trace.steps + (skill,),
+            step_scores=trace.step_scores + (distribution,),
+            metadata=trace.metadata,
+        )
+        if skill.name == "done":
+            return trace
+    raise PlanTooLong(f"done not selected within {max_steps} steps")
+
+
+class SeededScorer:
+    """Positive scores fixed by (seed, history length, candidate text).
+
+    A third of the scores come from three fixed values, so ties are
+    common; done_weight scales done's score so that some plans run out of
+    steps.
+    """
+
+    def __init__(self, seed, done_weight):
+        self.seed = seed
+        self.done_weight = done_weight
+
+    def score(self, request):
+        step = len(request.history)
+        scores = {}
+        for candidate in request.candidates:
+            rng = random.Random(f"{self.seed}|{step}|{candidate.to_text()}")
+            value = rng.choice([0.25, 0.5, 1.0]) if rng.random() < 0.34 else rng.uniform(1e-3, 2.0)
+            scores[candidate] = value * self.done_weight if candidate.name == "done" else value
+        return ScoreResponse(scores)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN_MAP = load_map((FIXTURES / "maps" / "golden_arena.json").read_text())
+OBJECT_WORDS = ("apple", "cup", "milk", "banana", "book", "remote", "Apple")
+FILLER_WORDS = ("bring", "me", "the", "and", "on", "to", "please", OPERATOR)
+
+
+@st.composite
+def planning_cases(draw):
+    map_seed = draw(st.one_of(st.none(), st.integers(0, 10_000)))
+    if map_seed is None:
+        smap = GOLDEN_MAP
+    else:
+        doc, _, _ = random_grid_map(random.Random(map_seed))
+        smap = load_map(json.dumps(doc))
+    words = OBJECT_WORDS + FILLER_WORDS + tuple(smap.places)
+    resolved = " ".join(draw(st.lists(st.sampled_from(words), max_size=8)))
+    scorer = SeededScorer(draw(st.integers(0, 2**32)), draw(st.sampled_from([0.02, 0.3, 1.0, 3.0])))
+    max_steps = draw(st.integers(1, 8))
+    return smap, Command(raw=resolved, resolved=resolved), scorer, max_steps
+
+
+def plan_or_too_long(plan, *args):
+    try:
+        return plan(*args)
+    except PlanTooLong as err:
+        return str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planning_cases())
+def test_plan_task_and_plan_next_match_the_per_candidate_loop(case):
+    smap, command, scorer, max_steps = case
+    universe = ground_candidates(smap, command)
+    assert universe == reference_ground_candidates(smap, command)
+
+    expected = plan_or_too_long(reference_plan_task, command, scorer, universe, max_steps)
+    got = plan_or_too_long(plan_task, command, scorer, universe, max_steps)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.steps == expected.steps
+        assert [list(d.items()) for d in got.step_scores] == [
+            list(d.items()) for d in expected.step_scores
+        ]
+
+    trace = PlanTrace()
+    for _ in range(max_steps):
+        skill, _ = reference_score_step(command, trace, scorer, universe)
+        assert plan_next(command, trace, scorer, universe) == skill
+        trace = PlanTrace(steps=trace.steps + (skill,))
+        if skill.name == "done":
+            break
+
+
+@settings(max_examples=150, deadline=None)
+@given(planning_cases(), st.randoms(use_true_random=False))
+def test_admissible_skills_match_the_per_candidate_filter(case, rng):
+    smap, command, _, _ = case
+    universe = list(ground_candidates(smap, command))
+    history = tuple(rng.choice(universe) for _ in range(rng.randint(0, 6)))
+    if rng.random() < 0.5:
+        rng.shuffle(universe)  # any skill_set order, not only the grounded one
+    held, found = history_hints(history)
+    assert admissible_skills(universe, history, held, found) == reference_admissible_skills(
+        universe, history, held, found
+    )
+

@@ -12,6 +12,7 @@ import pytest
 from semplan.errors import (
     ParseError,
     PlanTooLong,
+    ScorerFailure,
     UnknownSkill,
     UnresolvedAmbiguity,
 )
@@ -521,3 +522,53 @@ class TestPlanTask:
                 universe,
             )
             assert base_choice == scaled_choice
+
+
+class EditedScorer:
+    """TableScorer's scores for the candidates, then edited by a function."""
+
+    def __init__(self, edit):
+        self.inner = TableScorer({"done": 0.9})
+        self.edit = edit
+
+    def score(self, request):
+        return ScoreResponse(self.edit(dict(self.inner.score(request).scores)))
+
+
+class TestScorerContract:
+    """A scorer scores exactly the candidates; step_scores keep candidate order."""
+
+    def plan(self, golden_map, edit):
+        command = Command(raw="x", resolved="Bring me the apple")
+        universe = ground_candidates(golden_map, command)
+        return plan_task(command, EditedScorer(edit), universe)
+
+    def test_missing_candidate_is_a_scorer_failure(self, golden_map):
+        def drop_done(scores):
+            del scores[SkillInstance("done")]
+            return scores
+
+        with pytest.raises(ScorerFailure, match="scorer must score exactly the candidates"):
+            self.plan(golden_map, drop_done)
+
+    def test_extra_entry_is_a_scorer_failure(self, golden_map):
+        def add_stranger(scores):
+            return {**scores, SkillInstance("answer", ("zebra",)): 40.0}
+
+        with pytest.raises(ScorerFailure, match="scorer must score exactly the candidates"):
+            self.plan(golden_map, add_stranger)
+
+    def test_same_candidates_in_another_order_are_put_in_candidate_order(self, golden_map):
+        expected = self.plan(golden_map, lambda scores: scores)
+        reordered = self.plan(golden_map, lambda scores: dict(reversed(scores.items())))
+        assert reordered == expected
+        assert [list(d) for d in reordered.step_scores] == [
+            list(d) for d in expected.step_scores
+        ]
+
+    def test_plan_next_checks_the_same_contract(self, golden_map):
+        command = Command(raw="x", resolved="Bring me the apple")
+        universe = ground_candidates(golden_map, command)
+        scorer = EditedScorer(lambda scores: dict(list(scores.items())[1:]))
+        with pytest.raises(ScorerFailure, match="scorer must score exactly the candidates"):
+            plan_next(command, PlanTrace(), scorer, universe)
