@@ -59,7 +59,7 @@ class ScoreResponse:
                 and max(values) > 0
                 and math.isfinite(math.fsum(values))
             )
-        except (OverflowError, ValueError):
+        except OverflowError:  # an int too large for a float
             valid = False
         if not valid:
             # Name the first culprit; a sum that overflows from finite scores passes.
