@@ -125,13 +125,6 @@ class Polygon2:
         if _signed_area2(verts) < 0:
             verts = tuple(reversed(verts))
         object.__setattr__(self, "vertices", verts)
-        # Beyond this margin outside a bounding box, a point is farther than
-        # BOUNDARY_EPS from the box's contents. The edge distance rounds by a
-        # few ulps of the coordinates, so a point just past BOUNDARY_EPS can
-        # still test as BOUNDARY: the margin is ~45 ulps more. Set here, not
-        # cached on first use, so that no polygon needs an instance dict.
-        scale = max([max(abs(v.x), abs(v.y)) for v in verts])
-        object.__setattr__(self, "_pad", BOUNDARY_EPS + 1e-14 * scale)
 
     def edges(self) -> Iterable[tuple[Point2, Point2]]:
         n = len(self.vertices)
@@ -140,8 +133,10 @@ class Polygon2:
 
     @cached_property
     def _near_box(self) -> tuple[float, float, float, float]:
+        # The edge distance rounds by a few ulps of the coordinates, so a point
+        # just past BOUNDARY_EPS can still test as BOUNDARY: pad ~45 ulps more.
         xs, ys = sorted([v.x for v in self.vertices]), sorted([v.y for v in self.vertices])
-        pad = self._pad
+        pad = BOUNDARY_EPS + 1e-14 * max(-xs[0], -ys[0], xs[-1], ys[-1])
         return xs[0] - pad, ys[0] - pad, xs[-1] + pad, ys[-1] + pad
 
     def near(self, p: Point2) -> bool:
@@ -188,30 +183,21 @@ def point_in_polygon(p: Point2, poly: Polygon2) -> Containment:
     polygons.
     """
     px, py = p.x, p.y
-    pad = poly._pad
     winding = 0
     a = poly.vertices[-1]
     for b in poly.vertices:
-        ax, ay, bx, by = a.x, a.y, b.x, b.y
-        dx, dy = bx - ax, by - ay
-        # Beyond the edge's bounding box padded as Polygon2.near pads, p is
-        # farther than BOUNDARY_EPS from the edge. Otherwise, the distance
-        # from p to the closed segment ab, inlined: this loop is most of map
-        # load and of room_of.
-        if not (
-            (px < ax - pad and px < bx - pad)
-            or (px > ax + pad and px > bx + pad)
-            or (py < ay - pad and py < by - pad)
-            or (py > ay + pad and py > by + pad)
-        ):
-            seg_len_sq = dx * dx + dy * dy
-            if seg_len_sq == 0.0:
-                distance = math.hypot(px - ax, py - ay)
-            else:
-                t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / seg_len_sq))
-                distance = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-            if distance <= BOUNDARY_EPS:
-                return Containment.BOUNDARY
+        # The distance from p to the closed segment ab, then cross(a, b, p),
+        # inlined: this loop is most of map load and of room_of.
+        ax, ay, by = a.x, a.y, b.y
+        dx, dy = b.x - ax, by - ay
+        seg_len_sq = dx * dx + dy * dy
+        if seg_len_sq == 0.0:
+            distance = math.hypot(px - ax, py - ay)
+        else:
+            t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / seg_len_sq))
+            distance = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+        if distance <= BOUNDARY_EPS:
+            return Containment.BOUNDARY
         if ay <= py:
             if by > py and dx * (py - ay) - dy * (px - ax) > 0:
                 winding += 1

@@ -13,7 +13,6 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from itertools import repeat
 from typing import IO, Union
 
 from .errors import ConfigMissing, ParseError, ScorerFailure, ValidationError
@@ -25,8 +24,6 @@ ENDPOINT_VAR = "SEMPLAN_LLM_ENDPOINT"
 KEY_VAR = "SEMPLAN_LLM_KEY"
 MODEL_VAR = "SEMPLAN_LLM_MODEL"
 DEFAULT_MODEL = "text-davinci-003"
-
-_NUMBER = (int, float)
 
 
 @dataclass(frozen=True)
@@ -49,26 +46,11 @@ class ScoreResponse:
     scores: dict
 
     def __post_init__(self):
-        values = self.scores.values()
-        if not values:
+        if not self.scores:
             raise ScorerFailure("empty score table")
-        try:
-            valid = (
-                all(map(isinstance, values, repeat(_NUMBER)))
-                and min(values) >= 0
-                and max(values) > 0
-                and math.isfinite(math.fsum(values))
-            )
-        except OverflowError:  # an int too large for a float
-            valid = False
-        if not valid:
-            # Name the first culprit; a sum that overflows from finite scores passes.
-            self._check_each()
-
-    def _check_each(self):
         positive = False
         for candidate, value in self.scores.items():
-            if not isinstance(value, _NUMBER) or not _finite(value):
+            if not isinstance(value, (int, float)) or not _finite(value):
                 raise ScorerFailure(f"non-finite score for {candidate}")
             if value < 0:
                 raise ScorerFailure(f"negative score for {candidate}")

@@ -2,8 +2,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from semplan.errors import DegeneratePolygon, InvalidPolygon
 from semplan.geometry import (
@@ -181,65 +179,6 @@ class TestPointInPolygonOneWalk:
                 self.check(Point2(x + rng.uniform(-1, 1), y + rng.uniform(-1, 1)), poly)
             for v in poly.vertices:
                 self.check(v, poly)
-
-
-def one_walk_point_in_polygon(p, poly):
-    """point_in_polygon before it skipped edges by bounding box: every edge's distance."""
-    px, py = p.x, p.y
-    winding = 0
-    a = poly.vertices[-1]
-    for b in poly.vertices:
-        ax, ay, by = a.x, a.y, b.y
-        dx, dy = b.x - ax, by - ay
-        seg_len_sq = dx * dx + dy * dy
-        if seg_len_sq == 0.0:
-            distance = math.hypot(px - ax, py - ay)
-        else:
-            t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / seg_len_sq))
-            distance = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-        if distance <= BOUNDARY_EPS:
-            return Containment.BOUNDARY
-        if ay <= py:
-            if by > py and dx * (py - ay) - dy * (px - ax) > 0:
-                winding += 1
-        elif by <= py and dx * (py - ay) - dy * (px - ax) < 0:
-            winding -= 1
-        a = b
-    return Containment.INSIDE if winding != 0 else Containment.OUTSIDE
-
-
-@st.composite
-def polygons_and_points(draw):
-    """A random star polygon at some scale, and a point near one of its edges or anywhere."""
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6]))
-    raw, _ = random_simple_polygon(rng)
-    raw = [(x * scale, y * scale) for x, y in raw]
-    poly = validate_polygon(raw)
-    n = len(poly.vertices)
-    i = draw(st.integers(0, n - 1))
-    a, b = poly.vertices[i], poly.vertices[(i + 1) % n]
-    kind = draw(st.sampled_from(["edge", "vertex", "anywhere"]))
-    if kind == "anywhere":
-        return poly, Point2(rng.uniform(-10, 10) * scale, rng.uniform(-10, 10) * scale)
-    t = 0.0 if kind == "vertex" else draw(st.floats(0.0, 1.0))
-    x, y = a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)
-    # Step BOUNDARY_EPS (give or take a few ulps) away along a unit direction.
-    angle = draw(st.floats(0.0, 2.0 * math.pi))
-    offset = BOUNDARY_EPS * draw(st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.0, 2.0, 10.0]))
-    x += offset * math.cos(angle)
-    y += offset * math.sin(angle)
-    for _ in range(draw(st.integers(0, 4))):
-        x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
-        y = math.nextafter(y, draw(st.sampled_from([-math.inf, math.inf])))
-    return poly, Point2(x, y)
-
-
-@settings(max_examples=1000, deadline=None)
-@given(polygons_and_points())
-def test_bounding_box_skip_agrees_with_every_edge_distance(case):
-    poly, p = case
-    assert point_in_polygon(p, poly) is one_walk_point_in_polygon(p, poly)
 
 
 class TestCentroid:

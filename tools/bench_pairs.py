@@ -4,9 +4,10 @@
         --pairs 10 --seed-base 101 --out BENCH_x.json
 
 Each side runs ``bench/run.py`` from its own checkout, one untraced run per
-workload, seed and side. Pair k uses seed SEED_BASE + k; an odd seed runs
-the change first, an even seed the parent first, so a slow spell on a
-shared machine does not always land on the same side. The output holds
+workload, seed and side, as long as the parent's BENCHMARK.json
+``run_seconds``. Pair k uses seed SEED_BASE + k; an odd seed runs the change
+first, an even seed the parent first, so a slow spell on a shared machine
+does not always land on the same side. The output holds
 every result line and, per workload and end-to-end metric of the parent's
 BENCHMARK.json, the medians of both sides, the parent's interquartile
 range, the number of pairs the change won and the relative change of the
@@ -32,7 +33,7 @@ def result_of(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_side(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -86,15 +87,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed-base", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.parent_dir / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent_dir, "change": args.change_dir}
     doc = {
-        "command": f"python3 bench/run.py --workload W --seed N --seconds {args.seconds:g} "
-                   "--trace 0",
+        "command": f"python3 bench/run.py --workload W --seed N --seconds {seconds} --trace 0",
         "host": f"{platform.system()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
         "protocol": "alternating pairs: odd seeds run the change first, even seeds the "
                     "parent first; each side in its own checkout",
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
         for k in range(args.pairs):
             seed = args.seed_base + k
             order = ("change", "parent") if seed % 2 else ("parent", "change")
-            results = {side: run_side(checkouts[side], workload, seed, args.seconds)
+            results = {side: run_side(checkouts[side], workload, seed, seconds)
                        for side in order}
             pair = {"workload": workload, "seed": seed, "first": order[0],
                     **{side: results[side] for side in SIDES}}
