@@ -30,7 +30,7 @@ class Containment(Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point2:
     x: float
     y: float

@@ -42,7 +42,7 @@ class Path:
     length: float
 
     def door_names(self) -> tuple[str, ...]:
-        return tuple(n.door_name for n in self.waypoints if n.kind == DOOR)
+        return tuple([n.door_name for n in self.waypoints if n.kind == DOOR])
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def plan_path(smap: SemanticMap, start: Point2, goal: Union[str, Point2]) -> Pat
             route = [node_id]
             while route[-1] != start_id:
                 route.append(parent[route[-1]])
-            return Path(tuple(graph.nodes[i] for i in reversed(route)), length=dist)
+            return Path(tuple([graph.nodes[i] for i in reversed(route)]), length=dist)
         for next_id, weight in graph.neighbours(node_id):
             if next_id in settled:
                 continue

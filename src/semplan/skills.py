@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import is_, itemgetter
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -70,51 +70,42 @@ _STOPWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True, init=False)
-class SkillInstance:
-    """A skill name with grounded arguments, e.g. grasp(apple)."""
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class SkillInstance(tuple):
+    """A skill name with grounded arguments, e.g. grasp(apple).
 
-    name: str
-    args: tuple[str, ...] = ()
+    The (name, args) tuple itself: it hashes and compares as that tuple.
+    Its dataclass fields make dataclasses.replace go through __new__.
+    """
 
-    def __init__(self, name: str, args: Iterable[str] = ()):
+    __slots__ = ()
+
+    name: str = property(itemgetter(0))
+    args: tuple[str, ...] = property(itemgetter(1))
+
+    def __new__(cls, name: str, args: Iterable[str] = ()):
         arity = SKILL_ARITIES.get(name)
         if arity is None:
             raise UnknownSkill(f"unknown skill: {name}")
         args = tuple(args)
         if len(args) != arity:
             raise ValueError(f"{name} takes {arity} argument(s), got {len(args)}")
-        # The planner hashes and prints each instance many times per step, so
-        # both are cached on first use, outside the fields (==, repr and the
-        # hash value stay the fields'). Set with object.__setattr__: going
-        # through __dict__, as functools.cached_property does, slowed every op.
-        set_attr = object.__setattr__
-        set_attr(self, "name", name)
-        set_attr(self, "args", args)
-        set_attr(self, "_hash", None)
-        set_attr(self, "_text", None)
+        return tuple.__new__(cls, (name, args))
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.name, self.args)))
-        return self._hash
+    def __getnewargs__(self):
+        return tuple(self)
 
-    def __reduce__(self):
-        # Rebuild from the fields: a cached string hash is valid only in the
-        # process that computed it.
-        return SkillInstance, (self.name, self.args)
+    def __repr__(self) -> str:
+        return f"SkillInstance(name={self[0]!r}, args={self[1]!r})"
 
     def to_text(self) -> str:
-        if self._text is None:
-            text = f"{self.name}({','.join(self.args)})" if self.args else self.name
-            object.__setattr__(self, "_text", text)
-        return self._text
+        name, args = self
+        return f"{name}({','.join(args)})" if args else name
 
-    def __str__(self) -> str:
-        return self.to_text()
+    __str__ = to_text
 
 
-_NAME = attrgetter("name")
+_NAME = itemgetter(0)
 
 _SKILL_TEXT = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
 
@@ -304,17 +295,16 @@ def _step(command: Command, history: tuple, scorer, skill_set):
     held, found = history_hints(history)
     candidates = admissible_skills(skill_set, history, held, found)
     assert candidates, "done keeps the candidate set nonempty"
-    request = ScoreRequest(command=command.resolved, history=history, candidates=candidates)
-    response = scorer.score(request)
-    keys = tuple(response.scores)
-    if keys != candidates:
-        if set(keys) != set(candidates):
+    response = scorer.score(ScoreRequest(command.resolved, history, candidates))
+    scores = response.scores
+    if not (len(scores) == len(candidates) and all(map(is_, scores, candidates))):
+        # A plain (name, args) tuple equals its skill but is not a candidate.
+        if not all(type(k) is SkillInstance for k in scores) or set(scores) != set(candidates):
             raise ScorerFailure("scorer must score exactly the candidates")
-        response = ScoreResponse({c: response.scores[c] for c in candidates})
-        keys = tuple(response.scores)
+        response = ScoreResponse({c: scores[c] for c in candidates})
     distribution = normalize(response)
     values = list(distribution.values())
-    return keys[values.index(max(values))], distribution
+    return candidates[values.index(max(values))], distribution
 
 
 def plan_next(command: Command, trace: PlanTrace, scorer, skill_set) -> SkillInstance:

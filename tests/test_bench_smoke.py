@@ -1,0 +1,28 @@
+"""The benchmark's planner and navigator workloads give correct answers.
+
+Each workload checks every op's answer against its expected one, so a
+wrong plan or path fails here, at minimal size, before a timed run. The
+timings of these runs are not measurements.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["task-scripted", "nav-grid"])
+def test_smoke_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
+         "--seconds", "0.2", "--trace", "0", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] >= 1

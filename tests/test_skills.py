@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semplan.errors import (
     ParseError,
@@ -34,6 +36,7 @@ from semplan.skills import (
     resolve_ambiguity,
 )
 
+from mapgen import random_grid_map
 from oracles import check_rule_compliance
 
 
@@ -189,6 +192,57 @@ class TestSkillInstanceCache:
             assert proc.returncode == 0, proc.stderr
             outputs = proc.stdout
         assert outputs.split() == ["True", "grasp(apple)"]
+
+
+GOLDEN_CANDIDATES = tuple(
+    skill for _, skill in golden_candidates(Path(__file__).parent / "fixtures")
+)
+COMMAND_WORDS = ("apple", "cup", "milk", "book", "bring", "me", "the", "and", "to")
+
+
+@st.composite
+def grounded_skills(draw):
+    """A golden candidate, or a candidate grounded on a tests/mapgen.py map."""
+    map_seed = draw(st.one_of(st.none(), st.integers(0, 10_000)))
+    if map_seed is None:
+        return draw(st.sampled_from(GOLDEN_CANDIDATES))
+    doc, _, _ = random_grid_map(random.Random(map_seed))
+    smap = load_map(json.dumps(doc))
+    resolved = " ".join(draw(st.lists(st.sampled_from(COMMAND_WORDS + tuple(smap.places)))))
+    return draw(st.sampled_from(ground_candidates(smap, Command(raw=resolved, resolved=resolved))))
+
+
+class TestSkillInstanceTuple:
+    """A skill is its (name, args) tuple: the tuple's hash and ==, its own text."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(grounded_skills())
+    def test_equal_and_hash_as_its_name_args_tuple(self, skill):
+        pair = (skill.name, skill.args)
+        assert skill == pair and pair == skill and hash(skill) == hash(pair)
+        assert tuple(skill) == pair and type(skill.args) is tuple
+        assert {skill: 1}[SkillInstance(*pair)] == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(grounded_skills())
+    def test_parse_inverts_to_text(self, skill):
+        parsed = parse_skill(skill.to_text())
+        assert parsed == skill and type(parsed) is SkillInstance
+
+    @settings(max_examples=100, deadline=None)
+    @given(grounded_skills(), st.integers(0, pickle.HIGHEST_PROTOCOL))
+    def test_pickle_round_trip(self, skill, protocol):
+        copy = pickle.loads(pickle.dumps(skill, protocol))
+        assert type(copy) is SkillInstance
+        assert copy == skill and hash(copy) == hash(skill) and repr(copy) == repr(skill)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grounded_skills())
+    @example(SkillInstance("grasp", ("apple",)))
+    def test_replace_goes_through_the_arity_check(self, skill):
+        arity = len(skill.args)
+        with pytest.raises(ValueError, match=rf"^{skill.name} takes {arity} argument\(s\), got 2$"):
+            dataclasses.replace(skill, args=("a", "b"))
 
 
 class TestResolveAmbiguity:
@@ -565,6 +619,47 @@ class TestScorerContract:
         assert [list(d) for d in reordered.step_scores] == [
             list(d) for d in expected.step_scores
         ]
+
+    def test_plain_tuple_keys_are_a_scorer_failure(self, golden_map):
+        def plain(scores):
+            return {(c.name, c.args): v for c, v in scores.items()}
+
+        with pytest.raises(ScorerFailure, match="scorer must score exactly the candidates"):
+            self.plan(golden_map, plain)
+
+    def test_one_plain_tuple_key_is_a_scorer_failure(self, golden_map):
+        def swap_done(scores):
+            value = scores.pop(SkillInstance("done"))
+            return {**scores, ("done", ()): value}
+
+        with pytest.raises(ScorerFailure, match="scorer must score exactly the candidates"):
+            self.plan(golden_map, swap_done)
+
+    def test_plain_tuple_equal_to_a_candidate_rescores_that_candidate(self, golden_map):
+        # Equal keys are one dict key: the candidate object stays the key and
+        # takes the plain tuple's value, so the step plans with that value.
+        def rescore_done(scores):
+            scores = {c: 0.0 for c in scores}
+            scores[("done", ())] = 1.0
+            assert all(type(key) is SkillInstance for key in scores)
+            return scores
+
+        trace = self.plan(golden_map, rescore_done)
+        assert trace.steps == (SkillInstance("done"),)
+        assert type(trace.steps[0]) is SkillInstance
+        assert trace.step_scores[0][SkillInstance("done")] == 1.0
+        assert all(type(key) is SkillInstance for key in trace.step_scores[0])
+
+    def test_equal_copies_as_keys_give_the_candidates_themselves(self, golden_map):
+        command = Command(raw="x", resolved="Bring me the apple")
+        universe = ground_candidates(golden_map, command)
+        expected = plan_task(command, EditedScorer(lambda scores: scores), universe)
+        copied = plan_task(command, EditedScorer(
+            lambda scores: {parse_skill(c.to_text()): v for c, v in scores.items()}), universe)
+        assert copied == expected
+        assert all(any(step is c for c in universe) for step in copied.steps)
+        for distribution in copied.step_scores:
+            assert all(any(key is c for c in universe) for key in distribution)
 
     def test_plan_next_checks_the_same_contract(self, golden_map):
         command = Command(raw="x", resolved="Bring me the apple")
