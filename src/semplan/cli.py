@@ -20,7 +20,7 @@ from .errors import NoPath, ParseError, PlanTooLong, ScorerFailure, SemplanError
 from .jsondoc import check_object, load_object, parse_point
 from .nav import plan_path
 from .scorer import LlmScorer, ScriptedScorer, load_scenario
-from .semantic_map import _point_doc, load_map, map_warnings, semantic_location, set_door_passable
+from .semantic_map import _point_doc, load_map, map_warnings, semantic_location
 from .sim import check_goal, load_world, run_plan
 from .skills import (
     DEFAULT_MAX_STEPS,
@@ -125,9 +125,9 @@ def _path_lines(path) -> list:
 def cmd_plan_path(args) -> int:
     smap = load_map(_read(args.map))
     for name in args.close_door:
-        smap = set_door_passable(smap, name, False)
+        smap.find_door(name)
     goal = _parse_goal(args.goal)
-    path = plan_path(smap, parse_point(args.start, "start"), goal)
+    path = plan_path(smap, parse_point(args.start, "start"), goal, args.close_door)
     _emit(_path_doc(path), _path_lines(path), args.format)
     return 0
 

@@ -89,6 +89,16 @@ class SemanticMap:
         return {**self.index.rooms, **self.index.furniture}
 
     @cached_property
+    def passable_doors(self) -> dict:
+        """Room name -> names of the passable doors into that room; built on first use."""
+        by_room = {r.name: [] for r in self.rooms}
+        for d in self.doors:
+            if d.passable:
+                for room in d.connects:
+                    by_room[room].append(d.name)
+        return by_room
+
+    @cached_property
     def components(self) -> dict:
         """Room name -> representative room, equal for rooms joined by passable doors.
 

@@ -7,6 +7,7 @@ cross-check rather than a mirror of the implementation.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -160,3 +161,60 @@ def brute_force_shortest(
             consider((length, [d[0] for d in seq]))
 
     return best
+
+
+def path_length(points: list[tuple[float, float]]) -> float:
+    """Summed segment lengths along a waypoint sequence, in order."""
+    total = 0.0
+    for a, b in zip(points, points[1:]):
+        total += _dist(a, b)
+    return total
+
+
+def all_pairs_dijkstra(
+    start: tuple[float, float],
+    start_room: str,
+    goal: tuple[float, float],
+    goal_room: str,
+    doors: list[tuple[str, tuple[float, float], frozenset[str], bool]],
+) -> tuple[float, list[str], list[tuple[float, float]]] | None:
+    """Dijkstra over an explicit all-pairs door graph, built in O(D^2).
+
+    Nodes are ("start",), ("goal",) and ("door", name) for each passable
+    door of the (name, position, {room_a, room_b}, passable) tuples; every
+    two nodes that share a room are joined, weighted by their distance.
+    A node is settled by the least (distance, door names) key, so ties go
+    to the lexicographically first door sequence, and distances are summed
+    segment by segment along the route. Returns (length, door names,
+    waypoints) or None when the goal is unreachable.
+    """
+    anchors = {("start",): start, ("goal",): goal}
+    rooms = {("start",): {start_room}, ("goal",): {goal_room}}
+    for name, position, pair, passable in doors:
+        if passable:
+            anchors[("door", name)] = position
+            rooms[("door", name)] = set(pair)
+    edges = {
+        a: [(b, _dist(anchors[a], anchors[b]))
+            for b in sorted(anchors) if b != a and rooms[a] & rooms[b]]
+        for a in anchors
+    }
+    best = {("start",): (0.0, ())}
+    queue = [(0.0, (), ("start",))]
+    settled = set()
+    while queue:
+        dist, names, node = heapq.heappop(queue)
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == ("goal",):
+            points = [start] + [anchors[("door", n)] for n in names] + [goal]
+            return dist, list(names), points
+        for other, weight in edges[node]:
+            if other in settled:
+                continue
+            key = (dist + weight, names + (other[1],) if other[0] == "door" else names)
+            if other not in best or key < best[other]:
+                best[other] = key
+                heapq.heappush(queue, (*key, other))
+    return None

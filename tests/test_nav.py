@@ -1,25 +1,22 @@
 import json
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semplan.errors import NoPath, OutsideArena, UnknownFurniture
+from semplan.errors import NoPath, OutsideArena, UnknownDoor, UnknownFurniture
 from semplan.geometry import Point2, euclidean
-from semplan.nav import (
-    DOOR,
-    GOAL,
-    START,
-    NavNode,
-    Path,
-    build_door_graph,
-    path_length,
-    plan_path,
-    replan,
-)
-from semplan.semantic_map import load_map, room_of, set_door_passable
+from semplan.nav import DOOR, GOAL, START, Path, plan_path, replan
+from semplan.semantic_map import load_map, room_of, save_map, set_door_passable
 
 from mapgen import random_grid_map, random_point_in
-from oracles import brute_force_shortest
+from oracles import all_pairs_dijkstra, brute_force_shortest, path_length
+
+
+def points(path: Path) -> list:
+    return [(w.anchor.x, w.anchor.y) for w in path.waypoints]
 
 
 def assert_path_sound(smap, path: Path) -> None:
@@ -30,7 +27,7 @@ def assert_path_sound(smap, path: Path) -> None:
         assert a.rooms & b.rooms
     closed = {d.name for d in smap.doors if not d.passable}
     assert not (set(path.door_names()) & closed)
-    assert path.length == pytest.approx(path_length(path), abs=1e-12)
+    assert path.length == pytest.approx(path_length(points(path)), abs=1e-12)
 
 
 @pytest.fixture
@@ -44,52 +41,59 @@ def golden_map(fixtures_dir):
 
 
 class TestBuildDoorGraph:
+    """The door graph plan_path searches: start, goal and the passable doors of the map's index."""
+
     def test_single_room_two_nodes_one_edge(self, fixtures_dir):
         smap = load_map((fixtures_dir / "maps" / "one_room.json").read_text())
-        graph = build_door_graph(smap, Point2(1, 1), Point2(3, 3))
-        assert set(graph.nodes) == {(START,), (GOAL,)}
-        assert graph.neighbours((START,)) == [((GOAL,), euclidean(Point2(1, 1), Point2(3, 3)))]
+        path = plan_path(smap, Point2(1, 1), Point2(3, 3))
+        assert smap.passable_doors == {"studio": []}
+        assert [w.kind for w in path.waypoints] == [START, GOAL]
+        assert path.length == euclidean(Point2(1, 1), Point2(3, 3))
 
     def test_two_rooms_one_door(self, two_room):
-        graph = build_door_graph(two_room, Point2(0, 0), Point2(9, 3))
-        assert set(graph.nodes) == {(START,), (GOAL,), (DOOR, "door_ab")}
-        assert [n for n, _ in graph.neighbours((START,))] == [(DOOR, "door_ab")]
-        assert [n for n, _ in graph.neighbours((GOAL,))] == [(DOOR, "door_ab")]
+        path = plan_path(two_room, Point2(0, 0), Point2(9, 3))
+        assert two_room.passable_doors == {"room_a": ["door_ab"], "room_b": ["door_ab"]}
+        assert [w.kind for w in path.waypoints] == [START, DOOR, GOAL]
+        assert path.door_names() == ("door_ab",)
+        assert [w.rooms for w in path.waypoints] == [
+            frozenset({"room_a"}), frozenset({"room_a", "room_b"}), frozenset({"room_b"})
+        ]
 
     def test_impassable_door_excluded_from_nodes(self, two_room):
         closed = set_door_passable(two_room, "door_ab", False)
-        graph = build_door_graph(closed, Point2(0, 0), Point2(9, 3))
-        assert set(graph.nodes) == {(START,), (GOAL,)}
-        assert graph.neighbours((START,)) == []
+        assert closed.passable_doors == {"room_a": [], "room_b": []}
+        with pytest.raises(NoPath):
+            plan_path(closed, Point2(0, 0), Point2(9, 3))
+        with pytest.raises(NoPath):
+            plan_path(two_room, Point2(0, 0), Point2(9, 3), ["door_ab"])
+        with pytest.raises(NoPath):
+            replan(two_room, Point2(0, 0), Point2(9, 3), "door_ab")
 
     def test_start_outside(self, two_room):
-        with pytest.raises(OutsideArena) as err:
-            build_door_graph(two_room, Point2(100, 100), Point2(9, 3))
-        assert err.value.which == "start"
+        for call in (
+            lambda: plan_path(two_room, Point2(100, 100), Point2(9, 3)),
+            lambda: replan(two_room, Point2(100, 100), Point2(9, 3), "door_ab"),
+        ):
+            with pytest.raises(OutsideArena) as err:
+                call()
+            assert err.value.which == "start"
 
     def test_goal_outside(self, two_room):
-        with pytest.raises(OutsideArena) as err:
-            build_door_graph(two_room, Point2(0, 0), Point2(100, 100))
-        assert err.value.which == "goal"
-
-
-def all_pairs_neighbours(nodes):
-    """O(D^2) reference edges: every two nodes that share a room, by node id."""
-    ids = sorted(nodes)
-    expected = {node_id: [] for node_id in ids}
-    for i, id_a in enumerate(ids):
-        for id_b in ids[i + 1 :]:
-            if nodes[id_a].rooms & nodes[id_b].rooms:
-                weight = euclidean(nodes[id_a].anchor, nodes[id_b].anchor)
-                expected[id_a].append((id_b, weight))
-                expected[id_b].append((id_a, weight))
-    return expected
+        for call in (
+            lambda: plan_path(two_room, Point2(0, 0), Point2(100, 100)),
+            lambda: replan(two_room, Point2(0, 0), Point2(100, 100), "door_ab"),
+        ):
+            with pytest.raises(OutsideArena) as err:
+                call()
+            assert err.value.which == "goal"
 
 
 class TestPerRoomJoins:
     def test_neighbours_match_all_pairs_reference(self):
+        """Routes, waypoints and bitwise lengths agree with Dijkstra on the all-pairs graph."""
         rng = random.Random(2410)
-        seen = {"parallel doors": 0, "same room": 0, "endpoint in doorless room": 0}
+        seen = {"parallel doors": 0, "same room": 0, "endpoint in doorless room": 0,
+                "route": 0, "no path": 0}
         for _ in range(80):
             doc, doors, cells = random_grid_map(rng)
             smap = load_map(json.dumps(doc))
@@ -97,30 +101,37 @@ class TestPerRoomJoins:
             open_pairs = [pair for _, _, pair, passable in doors if passable]
             seen["parallel doors"] += len(open_pairs) > len(set(open_pairs))
             doorless = {r for r in rooms if not any(r in pair for pair in open_pairs)}
+            assert smap.passable_doors == {
+                room: sorted(name for name, _, pair, passable in doors if passable and room in pair)
+                for room in rooms
+            }
             for _ in range(3):
                 start_room = rng.choice(rooms)
                 goal_room = start_room if rng.random() < 0.3 else rng.choice(rooms)
-                start = Point2(*random_point_in(rng, cells, start_room))
-                goal = Point2(*random_point_in(rng, cells, goal_room))
+                start = random_point_in(rng, cells, start_room)
+                goal = random_point_in(rng, cells, goal_room)
                 seen["same room"] += start_room == goal_room
                 seen["endpoint in doorless room"] += bool({start_room, goal_room} & doorless)
-
-                nodes = {
-                    (START,): NavNode(START, start, frozenset((start_room,))),
-                    (GOAL,): NavNode(GOAL, goal, frozenset((goal_room,))),
-                }
-                for name, position, pair, passable in doors:
-                    if passable:
-                        nodes[(DOOR, name)] = NavNode(DOOR, Point2(*position), pair, name)
-                expected = all_pairs_neighbours(nodes)
-
-                graph = build_door_graph(smap, start, goal)
-                assert graph.nodes == nodes
-                order = sorted(nodes)
-                rng.shuffle(order)
-                for node_id in order:
-                    assert graph.neighbours(node_id) == expected[node_id]
-                    assert graph.neighbours(node_id) is graph.neighbours(node_id)
+                closed = rng.choice([None] + [d[0] for d in doors])
+                kept = [d if d[0] != closed else (*d[:3], False) for d in doors]
+                expected = all_pairs_dijkstra(start, start_room, goal, goal_room, kept)
+                try:
+                    if closed is None:
+                        path = plan_path(smap, Point2(*start), Point2(*goal))
+                    else:
+                        path = replan(smap, Point2(*start), Point2(*goal), closed)
+                except NoPath:
+                    assert expected is None
+                    seen["no path"] += 1
+                    continue
+                assert expected is not None
+                length, names, waypoints = expected
+                assert list(path.door_names()) == names
+                assert points(path) == waypoints
+                assert path.length == length
+                assert_path_sound(smap, path)
+                assert closed not in path.door_names()
+                seen["route"] += 1
         assert all(seen.values()), seen
 
 
@@ -167,7 +178,7 @@ class TestPlanPath:
     def test_zero_motion(self, two_room):
         path = plan_path(two_room, Point2(1, 1), Point2(1, 1))
         assert path.length == 0.0
-        assert path_length(path) == 0.0
+        assert path_length(points(path)) == 0.0
 
     def test_no_path_when_only_door_closed(self, two_room):
         closed = set_door_passable(two_room, "door_ab", False)
@@ -214,8 +225,6 @@ class TestReplan:
         assert after == baseline
 
     def test_unknown_door(self, two_room):
-        from semplan.errors import UnknownDoor
-
         with pytest.raises(UnknownDoor):
             replan(two_room, Point2(0, 0), Point2(9, 3), "hatch")
 
@@ -240,7 +249,7 @@ class TestPathLength:
                     path = plan_path(smap, start, goal)
                 except NoPath:
                     continue
-                assert abs(path_length(path) - path.length) <= 1e-12
+                assert abs(path_length(points(path)) - path.length) <= 1e-12
                 checked += 1
         assert checked > 20
 
@@ -295,3 +304,158 @@ class TestOracleAgreement:
                     set_door_passable(smap, door.name, True), start, goal
                 )
                 assert reopened.length <= closed.length + 1e-12
+
+
+# One golden map serves every example, so its door index is reused across them.
+GOLDEN = load_map(
+    (pathlib.Path(__file__).parent / "fixtures" / "maps" / "golden_arena.json").read_text()
+)
+
+
+def outcome(call):
+    """A comparable record of a nav call: the route with its bitwise length, or the error."""
+    try:
+        path = call()
+    except (NoPath, OutsideArena, UnknownDoor, UnknownFurniture) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "which", None)
+    return "ok", path.waypoints, path.length.hex()
+
+
+def with_doors_closed(smap, closed):
+    for name in closed:
+        smap = set_door_passable(smap, name, False)
+    return smap
+
+
+@st.composite
+def nav_cases(draw):
+    """(map, start, goal, door names): a mapgen grid map or the golden map.
+
+    About one point in twelve lies outside every room, one goal in five
+    names furniture (on a grid map, unknown furniture) and one door name in
+    ten names no door, so every error shows up next to plenty of routes.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        smap = GOLDEN
+        goals = ["shelf", "kitchen_table", "bathtub"]
+
+        def inside():
+            return Point2(rng.uniform(0.0, 18.0), rng.uniform(0.0, 6.0))
+    else:
+        doc, _, cells = random_grid_map(rng, max_doors=rng.choice([3, 6, 10]))
+        smap = load_map(json.dumps(doc))
+        rooms = sorted(cells)
+        goals = ["bathtub"]
+
+        def inside():
+            return Point2(*random_point_in(rng, cells, rng.choice(rooms)))
+
+    def point():
+        return Point2(-50.0, rng.uniform(-50.0, 50.0)) if rng.random() < 0.08 else inside()
+
+    start = point()
+    goal = rng.choice(goals) if rng.random() < 0.2 else point()
+    names = [d.name for d in smap.doors]
+    closed = [
+        "hatch" if not names or rng.random() < 0.1 else rng.choice(names)
+        for _ in range(rng.randint(1, 3))
+    ]
+    return smap, start, goal, closed
+
+
+class TestReplanEquivalence:
+    """replan and plan_path(closed=...) search the same map; the reference closes copies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nav_cases())
+    def test_replan_matches_plan_on_a_closed_copy(self, case):
+        smap, start, goal, closed = case
+        door = closed[0]
+        expected = outcome(lambda: plan_path(with_doors_closed(smap, [door]), start, goal))
+        assert outcome(lambda: replan(smap, start, goal, door)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(nav_cases())
+    def test_closed_doors_match_plan_on_a_closed_copy(self, case):
+        smap, start, goal, closed = case
+        expected = outcome(lambda: plan_path(with_doors_closed(smap, closed), start, goal))
+        assert outcome(lambda: plan_path(smap, start, goal, closed)) == expected
+
+    def test_error_order(self, two_room):
+        """UnknownDoor, then UnknownFurniture, then OutsideArena for the start, then the goal."""
+        outside = Point2(100, 100)
+        cases = [  # (door, start, goal, error, which)
+            ("hatch", outside, "bathtub", "UnknownDoor", None),
+            ("door_ab", outside, "bathtub", "UnknownFurniture", None),
+            ("door_ab", outside, outside, "OutsideArena", "start"),
+            ("door_ab", Point2(0, 0), outside, "OutsideArena", "goal"),
+        ]
+        for door, start, goal, error, which in cases:
+            got = outcome(lambda: replan(two_room, start, goal, door))
+            assert (got[0], got[2]) == (error, which)
+            expected = outcome(
+                lambda: plan_path(with_doors_closed(two_room, [door]), start, goal)
+            )
+            assert got == expected
+
+    def test_equal_length_routes_tie_break_on_the_door_sequence(self):
+        # Four 4x4 rooms. Both routes from sw to ne are 2 + 2*sqrt(2) + 2, summed in
+        # the same order, so the lengths are bitwise equal: ("d1", "z") sorts
+        # before ("d2", "a") although "a" < "z".
+        def square(x, y):
+            return [[x, y], [x + 4, y], [x + 4, y + 4], [x, y + 4]]
+
+        doc = {
+            "rooms": [
+                {"name": "sw", "contour": square(0, 0)},
+                {"name": "se", "contour": square(4, 0)},
+                {"name": "nw", "contour": square(0, 4)},
+                {"name": "ne", "contour": square(4, 4)},
+            ],
+            "doors": [
+                {"name": "d1", "position": [4, 2], "connects": ["sw", "se"]},
+                {"name": "z", "position": [6, 4], "connects": ["se", "ne"]},
+                {"name": "d2", "position": [2, 4], "connects": ["sw", "nw"]},
+                {"name": "a", "position": [4, 6], "connects": ["nw", "ne"]},
+            ],
+        }
+        smap = load_map(json.dumps(doc))
+        start, goal = Point2(2, 2), Point2(6, 6)
+        path = plan_path(smap, start, goal)
+        assert path.door_names() == ("d1", "z")
+        for door, doors in (("d1", ("d2", "a")), ("z", ("d2", "a")), ("a", ("d1", "z"))):
+            detour = replan(smap, start, goal, door)
+            assert detour.door_names() == doors
+            assert detour.length == path.length
+            assert detour == plan_path(with_doors_closed(smap, [door]), start, goal)
+
+
+class TestDoorIndex:
+    def test_built_on_first_query_not_at_load(self, golden_map):
+        assert "passable_doors" not in vars(golden_map)
+        plan_path(golden_map, Point2(1, 5), "shelf")
+        assert "passable_doors" in vars(golden_map)
+
+    def test_replan_searches_the_same_map(self, golden_map):
+        index = golden_map.passable_doors
+        replan(golden_map, Point2(1, 5), "kitchen_table", "living_bedroom")
+        assert golden_map.passable_doors is index
+        assert golden_map.find_door("kitchen_living").passable
+
+    def test_a_copy_never_shares_the_index(self, fixtures_dir):
+        text = (fixtures_dir / "maps" / "parallel_doors.json").read_text()
+        start, goal = Point2(1, 0), Point2(7, 0)
+        original = load_map(text)
+        first = plan_path(original, start, goal)
+        closed = set_door_passable(original, "door_mid", False)
+        assert "passable_doors" not in vars(closed)
+        on_copy = plan_path(closed, start, goal)
+        again = plan_path(original, start, goal)
+        assert closed.passable_doors is not original.passable_doors
+        assert first == again == plan_path(load_map(text), start, goal)
+        assert on_copy == plan_path(load_map(save_map(closed)), start, goal)
+        assert first.door_names() == ("door_mid",)
+        assert on_copy.door_names() == ("door_up",)
+        reopened = set_door_passable(closed, "door_mid", True)
+        assert plan_path(reopened, start, goal) == first
