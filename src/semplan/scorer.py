@@ -8,9 +8,11 @@ endpoint and scores each candidate as exp(sum of its suffix logprobs).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import IO, Union
@@ -39,6 +41,9 @@ class ScoreRequest:
             raise ValueError("candidates must be nonempty")
 
 
+_NUMBER_TYPES = frozenset({int, float, bool})
+
+
 @dataclass(frozen=True)
 class ScoreResponse:
     """Raw nonnegative scores, keyed by candidate."""
@@ -46,10 +51,26 @@ class ScoreResponse:
     scores: dict
 
     def __post_init__(self):
-        if not self.scores:
+        scores = self.scores
+        if not scores:
             raise ScorerFailure("empty score table")
+        values = scores.values()
+        # One C-level pass. A table it refuses is checked entry by entry,
+        # which names the first bad entry or accepts what the pass cannot
+        # (a subclass of int or float, finite scores whose sum overflows).
+        try:
+            valid = (
+                _NUMBER_TYPES.issuperset(map(type, values))
+                and min(values) >= 0
+                and math.isfinite(sum(values))
+                and any(values)
+            )
+        except OverflowError:  # an int too large for a float
+            valid = False
+        if valid:
+            return
         positive = False
-        for candidate, value in self.scores.items():
+        for candidate, value in scores.items():
             if not isinstance(value, (int, float)) or not _finite(value):
                 raise ScorerFailure(f"non-finite score for {candidate}")
             if value < 0:
@@ -74,10 +95,30 @@ def normalize(response: ScoreResponse) -> dict:
 
 @dataclass(frozen=True)
 class ScriptedScenario:
-    """Fixture score tables indexed by history length."""
+    """Fixture score tables indexed by history length.
+
+    Each row maps a skill's (name, args) pair, which hashes and compares
+    as the equal SkillInstance, to its score.
+    """
 
     command: str
     rows: tuple
+
+
+@functools.lru_cache(maxsize=1024)
+def skill_key(text: str) -> tuple:
+    """The (name, args) pair whose SkillInstance.to_text() is exactly text.
+
+    No skill takes more than one argument, so everything between the first
+    "(" and a closing ")" is that argument, commas and spaces included; text
+    with no such parentheses is a name alone. Text that no skill prints
+    gives a pair that no skill equals. Cached, so that rows and scenarios
+    share one immutable pair per text instead of allocating their own.
+    """
+    name, paren, rest = text.partition("(")
+    if paren and rest.endswith(")"):
+        return (sys.intern(name), (sys.intern(rest[:-1]),))
+    return (sys.intern(text), ())
 
 
 def load_scenario(source: Union[str, IO]) -> ScriptedScenario:
@@ -90,13 +131,14 @@ def load_scenario(source: Union[str, IO]) -> ScriptedScenario:
     row_keys = ("history_length", "scores")
     for i, row in enumerate(rows_raw):
         check_object(row, row_keys, f"row {i}", row_keys)
-        if row["history_length"] != i:
-            raise ParseError(f"row {i} has history_length {row['history_length']}")
+        history_length = row["history_length"]
+        if type(history_length) is not int or history_length != i:
+            raise ParseError(f"row {i} has history_length {history_length}")
         scores = row["scores"]
         if not isinstance(scores, dict) or not scores:
             raise ParseError(f"row {i} scores must be a nonempty object")
-        row = {k: finite(v, f"row {i} score {k}") for k, v in scores.items()}
-        for k, v in row.items():
+        row = {skill_key(k): finite(v, f"row {i} score {k}") for k, v in scores.items()}
+        for k, v in scores.items():
             if v < 0:
                 raise ValidationError(f"row {i} score {k}", "negative")
         rows.append(row)
@@ -106,9 +148,11 @@ def load_scenario(source: Union[str, IO]) -> ScriptedScenario:
 class ScriptedScorer:
     """Replays a ScriptedScenario row per history length.
 
-    Table entries beyond the requested candidates are ignored; a missing
-    candidate, an exhausted scenario, or a command mismatch all surface as
-    ScorerFailure because they mean the fixture does not match the run.
+    A candidate matches only the row entry whose text is exactly its
+    to_text(). Table entries beyond the requested candidates are ignored; a
+    missing candidate, an exhausted scenario, or a command mismatch all
+    surface as ScorerFailure because they mean the fixture does not match
+    the run.
     """
 
     def __init__(self, scenario: ScriptedScenario):
@@ -128,9 +172,10 @@ class ScriptedScorer:
             raise ScorerFailure(f"scenario exhausted at history length {step}")
         table = self.scenario.rows[step]
         try:
-            scores = {c: table[c.to_text()] for c in request.candidates}
+            scores = {c: table[c] for c in request.candidates}
         except KeyError as err:
-            raise ScorerFailure(f"no scripted score for {err.args[0]} at step {step}") from None
+            missing = err.args[0].to_text()
+            raise ScorerFailure(f"no scripted score for {missing} at step {step}") from None
         return ScoreResponse(scores)
 
 

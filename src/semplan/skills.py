@@ -222,23 +222,30 @@ def extract_objects(smap: SemanticMap, resolved: str) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
+_DONE = SkillInstance("done")
+_FOLLOW_PERSON = SkillInstance("follow_person")
+_HANDOVER = SkillInstance("handover")
+
+
 def ground_candidates(smap: SemanticMap, command: Command) -> tuple[SkillInstance, ...]:
     """Every skill over map places and command objects, sorted by (name, args).
 
     Names are emitted in sorted order, each over its sorted arguments.
+    Each name and arity is fixed here, so the instances skip __new__'s check.
     """
     objects = extract_objects(smap, command.resolved)
     locations = sorted([*smap.places, OPERATOR])
     furniture = sorted([f.name for f in smap.furniture])
+    new = tuple.__new__
     return (
-        *[SkillInstance("answer", (obj,)) for obj in objects],
-        SkillInstance("done"),
-        *[SkillInstance("find_obj", (obj,)) for obj in objects],
-        SkillInstance("follow_person"),
-        *[SkillInstance("grasp", (obj,)) for obj in objects],
-        SkillInstance("handover"),
-        *[SkillInstance("move_to", (loc,)) for loc in locations],
-        *[SkillInstance("place", (name,)) for name in furniture],
+        *[new(SkillInstance, ("answer", (obj,))) for obj in objects],
+        _DONE,
+        *[new(SkillInstance, ("find_obj", (obj,))) for obj in objects],
+        _FOLLOW_PERSON,
+        *[new(SkillInstance, ("grasp", (obj,))) for obj in objects],
+        _HANDOVER,
+        *[new(SkillInstance, ("move_to", (loc,))) for loc in locations],
+        *[new(SkillInstance, ("place", (name,))) for name in furniture],
     )
 
 

@@ -113,6 +113,11 @@ class TestRegressions:
         write_scenario(tmp_path, scores=with_literal("scores", ("rows", 0, "scores", "done"), "-1"))
         assert_input_error(plan_task(tmp_path))
 
+    @pytest.mark.parametrize("row, literal", [(0, "false"), (1, "true"), (1, "1.0")])
+    def test_history_length_not_an_int(self, tmp_path, row, literal):
+        write_scenario(tmp_path, scores=with_literal("scores", ("rows", row, "history_length"), literal))
+        assert_input_error(plan_task(tmp_path))
+
     @pytest.mark.parametrize("scorer", [
         {"kind": "llm", "path": 5},
         {"kind": "scripted", "path": "scores.json", "modle": "typo"},

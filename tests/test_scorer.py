@@ -6,6 +6,8 @@ import time
 import urllib.request
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semplan.errors import ConfigMissing, ParseError, ScorerFailure
 from semplan.scorer import (
@@ -22,8 +24,9 @@ from semplan.scorer import (
     llm_score,
     load_scenario,
     normalize,
+    skill_key,
 )
-from semplan.skills import parse_skill
+from semplan.skills import SKILL_ARITIES, SkillInstance, parse_skill
 
 from mockllm import MockLlmServer
 
@@ -61,6 +64,69 @@ class TestScoreTypes:
     def test_response_rejects_an_int_too_large_for_a_float(self):
         with pytest.raises(ScorerFailure, match="non-finite score for done"):
             ScoreResponse({parse_skill("done"): 10**400})
+
+
+def reference_check(scores: dict) -> None:
+    """ScoreResponse's entry-by-entry check as it was before the one-pass check."""
+    if not scores:
+        raise ScorerFailure("empty score table")
+    positive = False
+    for candidate, value in scores.items():
+        if not isinstance(value, (int, float)):
+            raise ScorerFailure(f"non-finite score for {candidate}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ScorerFailure(f"non-finite score for {candidate}")
+        if value < 0:
+            raise ScorerFailure(f"negative score for {candidate}")
+        positive = positive or value > 0
+    if not positive:
+        raise ScorerFailure("all scores are zero")
+
+
+class Score(float):
+    """A float subclass: a number, though not of an exact number type."""
+
+
+def outcome(check, scores):
+    try:
+        check(scores)
+    except Exception as err:  # noqa: BLE001 - the type and text are compared
+        return type(err), str(err)
+    return None
+
+
+SCORE_VALUES = st.one_of(
+    st.booleans(),
+    st.just(-0.0),
+    st.just(0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1e307, max_value=1.7e308),  # two of these overflow a sum
+    st.integers(-(10**3), 10**3),
+    st.integers(2**1023, 10**400),  # too large for a float
+    st.builds(Score, st.floats(0.0, 10.0)),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+class TestScoreResponseCheck:
+    """The one-pass check accepts and refuses exactly as the per-entry loop."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(SCORE_VALUES, max_size=6))
+    @example([1e308, 1e308])
+    @example([10**400, 1.0])
+    @example([1.0, 10**400, -1.0])
+    @example([-0.0, 0])
+    @example([1.0, float("nan")])
+    @example([False, True])
+    def test_same_outcome_as_the_per_entry_loop(self, values):
+        scores = {parse_skill(f"find_obj(x{i})"): v for i, v in enumerate(values)}
+        assert outcome(ScoreResponse, scores) == outcome(reference_check, scores)
 
 
 class TestNormalize:
@@ -135,6 +201,77 @@ class TestScriptedScorer:
         assert set(response.scores) == {parse_skill("done")}
 
 
+SKILL_TEXT = st.text(alphabet="(),_ amo", max_size=6)
+
+
+@st.composite
+def skills(draw):
+    name = draw(st.sampled_from(sorted(SKILL_ARITIES)))
+    return SkillInstance(name, [draw(SKILL_TEXT) for _ in range(SKILL_ARITIES[name])])
+
+
+@st.composite
+def skill_and_text(draw):
+    """A skill and a text that is its own, a near miss of it, or arbitrary."""
+    skill = draw(skills())
+    own = skill.to_text()
+    text = draw(st.one_of(
+        st.just(own),
+        st.just(f" {own}"),
+        st.just(own.replace("(", "( ", 1)),
+        st.just(own[:-1]),
+        st.just(own + ")"),
+        st.builds(lambda other: other.to_text(), skills()),
+        st.text(alphabet="(),_ amodnevtf", max_size=12),
+    ))
+    return skill, text
+
+
+class TestSkillKey:
+    """A row text keys exactly the skill whose to_text() it is."""
+
+    def test_no_skill_takes_two_arguments(self):
+        # skill_key reads everything between the parentheses as one argument.
+        assert max(SKILL_ARITIES.values()) <= 1
+
+    @settings(max_examples=500, deadline=None)
+    @given(skill_and_text())
+    @example((SkillInstance("move_to", ("kitchen",)), "move_to( kitchen )"))
+    @example((SkillInstance("move_to", ("a,b",)), "move_to(a,b)"))
+    @example((SkillInstance("move_to", ("",)), "move_to()"))
+    @example((SkillInstance("answer", ("f(x)",)), "answer(f(x))"))
+    @example((SkillInstance("done"), "done()"))
+    def test_key_equals_a_skill_exactly_when_it_is_its_text(self, case):
+        skill, text = case
+        own = skill.to_text() == text
+        key = skill_key(text)
+        assert (key == skill) == own
+        assert ({key: 1}.get(skill) == 1) == own
+
+    def test_text_with_inner_spaces_is_not_scored(self):
+        doc = {"command": "x", "rows": [
+            {"history_length": 0, "scores": {"move_to( kitchen )": 0.5, "done": 0.1}},
+        ]}
+        scorer = ScriptedScorer(load_scenario(json.dumps(doc)))
+        with pytest.raises(ScorerFailure) as err:
+            scorer.score(request_for("move_to(kitchen)", "done", command="x"))
+        assert str(err.value) == "no scripted score for move_to(kitchen) at step 0"
+
+    def test_place_name_with_a_comma_is_scored(self):
+        doc = {"command": "x", "rows": [
+            {"history_length": 0, "scores": {"move_to(a,b)": 0.5, "done": 0.1}},
+        ]}
+        scorer = ScriptedScorer(load_scenario(json.dumps(doc)))
+        room = SkillInstance("move_to", ("a,b",))
+        request = ScoreRequest("x", (), (room, SkillInstance("done")))
+        assert scorer.score(request).scores == {room: 0.5, SkillInstance("done"): 0.1}
+
+    def test_rows_share_one_key_per_text(self):
+        first, second = load_scenario(json.dumps(SCENARIO_DOC)).rows
+        done = ("done", ())
+        assert next(k for k in first if k == done) is next(k for k in second if k == done)
+
+
 class TestLoadScenario:
     def test_rejects_bad_json(self):
         with pytest.raises(ParseError):
@@ -155,6 +292,16 @@ class TestLoadScenario:
             "rows": [{"history_length": 0, "scores": {"done": "high"}}],
         }
         with pytest.raises(ParseError):
+            load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("length", [False, True, 1.0])
+    def test_rejects_history_length_not_an_int(self, length, rows):
+        doc = {"command": "x", "rows": [
+            {"history_length": i, "scores": {"done": 1.0}} for i in range(rows)
+        ]}
+        doc["rows"][rows - 1]["history_length"] = length
+        with pytest.raises(ParseError, match=rf"^row {rows - 1} has history_length {length}$"):
             load_scenario(json.dumps(doc))
 
     def test_rejects_boolean_scores(self):

@@ -245,6 +245,30 @@ class TestSkillInstanceTuple:
             dataclasses.replace(skill, args=("a", "b"))
 
 
+class TestGroundedInstances:
+    """ground_candidates builds its skills unchecked; each is what the check builds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000), st.lists(st.sampled_from(COMMAND_WORDS)))
+    def test_mapgen_candidates_equal_checked_twins(self, map_seed, words):
+        doc, _, _ = random_grid_map(random.Random(map_seed))
+        smap = load_map(json.dumps(doc))
+        resolved = " ".join(words)
+        self.assert_checked_twins(ground_candidates(smap, Command(raw=resolved, resolved=resolved)))
+
+    def test_golden_candidates_equal_checked_twins(self):
+        self.assert_checked_twins(GOLDEN_CANDIDATES)
+
+    @staticmethod
+    def assert_checked_twins(candidates):
+        for skill in candidates:
+            twin = SkillInstance(*skill)
+            assert type(skill) is SkillInstance and skill == twin
+            assert hash(skill) == hash(twin) and repr(skill) == repr(twin)
+            copy = pickle.loads(pickle.dumps(skill))
+            assert type(copy) is SkillInstance and copy == twin and repr(copy) == repr(twin)
+
+
 class TestResolveAmbiguity:
     def test_bring_me_the_object(self):
         oracle = oracle_from(["apple"])
