@@ -10,7 +10,7 @@ system satisfies the invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -30,18 +30,40 @@ class Containment(Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True, slots=True)
 class Point2:
-    x: float
-    y: float
+    """An immutable point that hashes as its (x, y) pair but equals only a Point2.
 
-    def __post_init__(self):
-        x = float(self.x)
-        y = float(self.y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite coordinate ({self.x}, {self.y})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+    Not a tuple: point_in_polygon reads every vertex's x and y, and slots read fastest.
+    """
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        fx, fy = float(x), float(y)
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            raise ValueError(f"non-finite coordinate ({x}, {y})")
+        object.__setattr__(self, "x", fx)
+        object.__setattr__(self, "y", fy)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is Point2:
+            return self.x == other.x and self.y == other.y
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"Point2(x={self.x!r}, y={self.y!r})"
+
+    def __reduce__(self):
+        return Point2, (self.x, self.y)
 
 
 def cross(origin: Point2, a: Point2, b: Point2) -> float:
@@ -102,19 +124,17 @@ def _signed_area2(vertices: Sequence[Point2]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Polygon2:
+class Polygon2(namedtuple("Polygon2", "vertices")):
     """A simple polygon, stored counter-clockwise.
 
     Construction validates the contour and raises InvalidPolygon with a
     reason code when it has fewer than three vertices, repeats a vertex
-    consecutively (including the closing wrap) or self-intersects.
+    consecutively (including the closing wrap) or self-intersects. No
+    __slots__, so that the cached_property below has an instance dict.
     """
 
-    vertices: tuple[Point2, ...]
-
-    def __post_init__(self):
-        verts = tuple(self.vertices)
+    def __new__(cls, vertices: Iterable[Point2]):
+        verts = tuple(vertices)
         if len(verts) < 3:
             raise InvalidPolygon("TooFewVertices", f"got {len(verts)}")
         n = len(verts)
@@ -124,7 +144,9 @@ class Polygon2:
         _check_simple(verts)
         if _signed_area2(verts) < 0:
             verts = tuple(reversed(verts))
-        object.__setattr__(self, "vertices", verts)
+        return tuple.__new__(cls, (verts,))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def edges(self) -> Iterable[tuple[Point2, Point2]]:
         n = len(self.vertices)

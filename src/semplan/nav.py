@@ -18,8 +18,7 @@ keeps no parent pointers.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Collection, Union
+from typing import Collection, NamedTuple, Union
 
 from .errors import NoPath, OutsideArena
 from .geometry import Point2, euclidean
@@ -29,8 +28,7 @@ START = "start"
 GOAL = "goal"
 DOOR = "door"
 
-@dataclass(frozen=True)
-class NavNode:
+class NavNode(NamedTuple):
     """One vertex of the door graph."""
 
     kind: str
@@ -39,8 +37,7 @@ class NavNode:
     door_name: Union[str, None] = None
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A start-to-goal waypoint sequence with its total metric length."""
 
     waypoints: tuple[NavNode, ...]

@@ -14,8 +14,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import IO, Union
+from collections import namedtuple
+from typing import IO, NamedTuple, Union
 
 from .errors import ConfigMissing, ParseError, ScorerFailure, ValidationError
 from .jsondoc import check_object, finite, load_object
@@ -28,30 +28,27 @@ MODEL_VAR = "SEMPLAN_LLM_MODEL"
 DEFAULT_MODEL = "text-davinci-003"
 
 
-@dataclass(frozen=True)
-class ScoreRequest:
-    command: str
-    history: tuple
-    candidates: tuple
+class ScoreRequest(namedtuple("ScoreRequest", "command history candidates")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "history", tuple(self.history))
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        if not self.candidates:
+    def __new__(cls, command: str, history, candidates):
+        history, candidates = tuple(history), tuple(candidates)
+        if not candidates:
             raise ValueError("candidates must be nonempty")
+        return tuple.__new__(cls, (command, history, candidates))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 _NUMBER_TYPES = frozenset({int, float, bool})
 
 
-@dataclass(frozen=True)
-class ScoreResponse:
+class ScoreResponse(namedtuple("ScoreResponse", "scores")):
     """Raw nonnegative scores, keyed by candidate."""
 
-    scores: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        scores = self.scores
+    def __new__(cls, scores: dict):
         if not scores:
             raise ScorerFailure("empty score table")
         values = scores.values()
@@ -67,17 +64,19 @@ class ScoreResponse:
             )
         except OverflowError:  # an int too large for a float
             valid = False
-        if valid:
-            return
-        positive = False
-        for candidate, value in scores.items():
-            if not isinstance(value, (int, float)) or not _finite(value):
-                raise ScorerFailure(f"non-finite score for {candidate}")
-            if value < 0:
-                raise ScorerFailure(f"negative score for {candidate}")
-            positive = positive or value > 0
-        if not positive:
-            raise ScorerFailure("all scores are zero")
+        if not valid:
+            positive = False
+            for candidate, value in scores.items():
+                if not isinstance(value, (int, float)) or not _finite(value):
+                    raise ScorerFailure(f"non-finite score for {candidate}")
+                if value < 0:
+                    raise ScorerFailure(f"negative score for {candidate}")
+                positive = positive or value > 0
+            if not positive:
+                raise ScorerFailure("all scores are zero")
+        return tuple.__new__(cls, (scores,))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def _finite(value) -> bool:
@@ -91,18 +90,6 @@ def normalize(response: ScoreResponse) -> dict:
     """Scores divided by their sum; the result sums to 1."""
     total = sum(response.scores.values())
     return {candidate: value / total for candidate, value in response.scores.items()}
-
-
-@dataclass(frozen=True)
-class ScriptedScenario:
-    """Fixture score tables indexed by history length.
-
-    Each row maps a skill's (name, args) pair, which hashes and compares
-    as the equal SkillInstance, to its score.
-    """
-
-    command: str
-    rows: tuple
 
 
 @functools.lru_cache(maxsize=1024)
@@ -121,7 +108,12 @@ def skill_key(text: str) -> tuple:
     return (sys.intern(text), ())
 
 
-def load_scenario(source: Union[str, IO]) -> ScriptedScenario:
+def load_scenario(source: Union[str, IO]) -> tuple[str, tuple]:
+    """The (command, rows) pair of a scripted scenario; rows are indexed by history length.
+
+    Each row maps a skill's (name, args) pair, which hashes and compares
+    as the equal SkillInstance, to its score.
+    """
     doc = load_object(source, ("command", "rows"), "scenario")
     command = doc.get("command")
     rows_raw = doc.get("rows")
@@ -142,11 +134,11 @@ def load_scenario(source: Union[str, IO]) -> ScriptedScenario:
             if v < 0:
                 raise ValidationError(f"row {i} score {k}", "negative")
         rows.append(row)
-    return ScriptedScenario(command=command, rows=tuple(rows))
+    return command, tuple(rows)
 
 
 class ScriptedScorer:
-    """Replays a ScriptedScenario row per history length.
+    """Replays a load_scenario (command, rows) pair, one row per history length.
 
     A candidate matches only the row entry whose text is exactly its
     to_text(). Table entries beyond the requested candidates are ignored; a
@@ -155,22 +147,22 @@ class ScriptedScorer:
     the run.
     """
 
-    def __init__(self, scenario: ScriptedScenario):
-        self.scenario = scenario
+    def __init__(self, scenario: tuple[str, tuple]):
+        self.command, self.rows = scenario
 
     def describe(self) -> dict:
         return {"scorer": "scripted"}
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
-        if request.command != self.scenario.command:
+        if request.command != self.command:
             raise ScorerFailure(
-                f"scenario scripted for {self.scenario.command!r}, "
+                f"scenario scripted for {self.command!r}, "
                 f"got {request.command!r}"
             )
         step = len(request.history)
-        if step >= len(self.scenario.rows):
+        if step >= len(self.rows):
             raise ScorerFailure(f"scenario exhausted at history length {step}")
-        table = self.scenario.rows[step]
+        table = self.rows[step]
         try:
             scores = {c: table[c] for c in request.candidates}
         except KeyError as err:
@@ -179,8 +171,7 @@ class ScriptedScorer:
         return ScoreResponse(scores)
 
 
-@dataclass(frozen=True)
-class LlmConfig:
+class LlmConfig(NamedTuple):
     endpoint: str
     key: str
     model: str = DEFAULT_MODEL

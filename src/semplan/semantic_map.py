@@ -10,7 +10,7 @@ floats in shortest round-trip form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 from typing import IO, Iterable, NamedTuple, Optional, Union
 
@@ -37,29 +37,25 @@ from .jsondoc import check_object, load_object, parse_point
 OPERATOR = "operator"
 
 
-@dataclass(frozen=True)
-class Room:
+class Room(NamedTuple):
     name: str
     contour: Polygon2
 
 
-@dataclass(frozen=True)
-class Furniture:
+class Furniture(NamedTuple):
     name: str
     room: str
     contour: Polygon2
 
 
-@dataclass(frozen=True)
-class Door:
+class Door(NamedTuple):
     name: str
     position: Point2
     connects: tuple[str, str]  # sorted room-name pair
     passable: bool = True
 
 
-@dataclass(frozen=True)
-class SemanticLocation:
+class SemanticLocation(NamedTuple):
     room: Optional[str] = None
     furniture: Optional[str] = None
 
@@ -72,11 +68,12 @@ class MapIndex(NamedTuple):
     doors: dict
 
 
-@dataclass(frozen=True)
-class SemanticMap:
-    rooms: tuple[Room, ...]
-    furniture: tuple[Furniture, ...]
-    doors: tuple[Door, ...]
+class SemanticMap(namedtuple("SemanticMap", "rooms furniture doors")):
+    """Rooms, furniture and doors, each sorted by name.
+
+    No __slots__, so that the cached properties have an instance dict; a
+    copy made by _replace starts with none of them. index shadows tuple.index.
+    """
 
     @cached_property
     def index(self) -> MapIndex:
@@ -143,7 +140,7 @@ def make_map(
     furniture = tuple(sorted(furniture, key=lambda f: f.name))
     doors = tuple(
         sorted(
-            (replace(d, connects=tuple(sorted(d.connects))) for d in doors),
+            (d._replace(connects=tuple(sorted(d.connects))) for d in doors),
             key=lambda d: d.name,
         )
     )
@@ -315,9 +312,9 @@ def set_door_passable(smap: SemanticMap, door_name: str, passable: bool) -> Sema
     """Return a copy of the map with one door's passable flag changed."""
     smap.find_door(door_name)
     doors = tuple(
-        replace(d, passable=passable) if d.name == door_name else d for d in smap.doors
+        d._replace(passable=passable) if d.name == door_name else d for d in smap.doors
     )
-    return replace(smap, doors=doors)
+    return smap._replace(doors=doors)
 
 
 def furniture_anchor(smap: SemanticMap, furniture_name: str) -> Point2:

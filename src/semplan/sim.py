@@ -13,8 +13,7 @@ trace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import IO, Optional, Union
+from typing import IO, NamedTuple, Optional, Union
 
 from .errors import InvalidGoalSpec, ParseError, UnknownSkill, ValidationError
 from .geometry import Point2, euclidean
@@ -34,8 +33,7 @@ UNKNOWN_LOCATION = "UnknownLocation"
 NOT_IN_ROOM = "NotInRoom"
 
 
-@dataclass(frozen=True)
-class SkillOutcome:
+class SkillOutcome(NamedTuple):
     ok: bool
     reason: Optional[str] = None
 
@@ -48,8 +46,7 @@ class SkillOutcome:
 _SUCCESS = SkillOutcome(ok=True)
 
 
-@dataclass(frozen=True)
-class WorldState:
+class WorldState(NamedTuple):
     """Placements, robot and operator poses, gripper and found-set."""
 
     placements: dict
@@ -60,8 +57,7 @@ class WorldState:
     delivered: tuple = ()
 
 
-@dataclass(frozen=True)
-class ExecTrace:
+class ExecTrace(NamedTuple):
     steps: tuple
     final: WorldState
 

@@ -15,10 +15,10 @@ likelihoods, and appends the argmax until "done" wins. Rules:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import groupby
 from operator import is_, itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import (
     ParseError,
@@ -70,18 +70,14 @@ _STOPWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
-class SkillInstance(tuple):
+class SkillInstance(namedtuple("SkillInstance", "name args")):
     """A skill name with grounded arguments, e.g. grasp(apple).
 
     The (name, args) tuple itself: it hashes and compares as that tuple.
-    Its dataclass fields make dataclasses.replace go through __new__.
+    _replace goes through __new__, so it checks the arity too.
     """
 
     __slots__ = ()
-
-    name: str = property(itemgetter(0))
-    args: tuple[str, ...] = property(itemgetter(1))
 
     def __new__(cls, name: str, args: Iterable[str] = ()):
         arity = SKILL_ARITIES.get(name)
@@ -92,11 +88,7 @@ class SkillInstance(tuple):
             raise ValueError(f"{name} takes {arity} argument(s), got {len(args)}")
         return tuple.__new__(cls, (name, args))
 
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"SkillInstance(name={self[0]!r}, args={self[1]!r})"
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def to_text(self) -> str:
         name, args = self
@@ -126,27 +118,26 @@ def parse_skill(text: str) -> SkillInstance:
         raise ParseError(str(err)) from err
 
 
-@dataclass(frozen=True)
-class Clarification:
+class Clarification(namedtuple("Clarification", "question slot")):
     """A question asked to pin down one ambiguous token."""
 
-    question: str
-    slot: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.question:
+    def __new__(cls, question: str, slot: str):
+        if not question:
             raise ValueError("clarification question must be non-empty")
+        return tuple.__new__(cls, (question, slot))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     raw: str
     resolved: str
     substitutions: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class PlanTrace:
+class PlanTrace(NamedTuple):
     """Chosen steps plus the normalized candidate scores behind each one."""
 
     steps: tuple[SkillInstance, ...] = ()

@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["task-scripted", "nav-grid"])
+@pytest.mark.parametrize("workload", ["task-scripted", "nav-grid", "cli-warm"])
 def test_smoke_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",

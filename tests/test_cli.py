@@ -318,8 +318,8 @@ class TestPlanTask:
         code = (
             "import sys, semplan.cli\n"
             f"semplan.cli.main({argv!r})\n"
-            "print(sorted({'requests', 'urllib.request', 'http.client', 'concurrent.futures'}"
-            " & set(sys.modules)))\n"
+            "print(sorted({'requests', 'urllib.request', 'http.client', 'concurrent.futures',"
+            " 'dataclasses', 'inspect'} & set(sys.modules)))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -39,6 +40,45 @@ def random_simple_polygon(rng: random.Random, max_vertices: int = 12):
         raw.append((cx + r * math.cos(angle), cy + r * math.sin(angle)))
         angle += g * scale
     return raw, validate_polygon(raw)
+
+
+class TestPoint2:
+    """A frozen slots value: hashed as its (x, y) pair, equal only to a Point2."""
+
+    def test_hash_is_the_pair_hash(self):
+        p = Point2(1.5, -2)
+        assert hash(p) == hash((p.x, p.y)) == hash((1.5, -2.0))
+
+    def test_never_equals_its_pair(self):
+        p = Point2(1, 5)
+        assert p != (p.x, p.y) and (p.x, p.y) != p
+        assert p == Point2(1.0, 5.0) and len({p, Point2(1, 5)}) == 1
+
+    def test_assignment_raises(self):
+        p = Point2(1, 5)
+        for name in ("x", "y", "z"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 0.0)
+        with pytest.raises(AttributeError):
+            del p.x
+        assert (p.x, p.y) == (1.0, 5.0)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        p = Point2(1, 5)
+        copy = pickle.loads(pickle.dumps(p, protocol))
+        assert type(copy) is Point2 and copy == p and hash(copy) == hash(p)
+
+    def test_repr_is_the_golden_one(self):
+        # tests/fixtures/golden/cli_outputs.json pins it in the NoPath message.
+        assert repr(Point2(1, 5)) == "Point2(x=1.0, y=5.0)"
+        assert str(Point2(15, 2.0)) == "Point2(x=15.0, y=2.0)"
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            Point2(math.nan, 0)
+        with pytest.raises(ValueError):
+            Point2(0, math.inf)
 
 
 class TestCross:

@@ -267,7 +267,7 @@ class TestSkillKey:
         assert scorer.score(request).scores == {room: 0.5, SkillInstance("done"): 0.1}
 
     def test_rows_share_one_key_per_text(self):
-        first, second = load_scenario(json.dumps(SCENARIO_DOC)).rows
+        _, (first, second) = load_scenario(json.dumps(SCENARIO_DOC))
         done = ("done", ())
         assert next(k for k in first if k == done) is next(k for k in second if k == done)
 

@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -328,7 +327,7 @@ class TestGoToMatchesPlanPath:
                 after, outcome = apply_skill(smap, world, parse_skill(text))
                 assert outcome.ok == expected, (text, doc, robot, target)
                 if expected:
-                    assert after == replace(world, robot=target)
+                    assert after == world._replace(robot=target)
                 else:
                     assert outcome.reason == NO_PATH
                     assert after == world

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import pickle
@@ -146,10 +145,10 @@ class TestSkillInstanceCache:
     def test_replace_gives_the_new_text_and_hash(self):
         skill = SkillInstance("move_to", ("kitchen",))
         assert skill.to_text() == "move_to(kitchen)" and hash(skill)
-        moved = dataclasses.replace(skill, args=("shelf",))
+        moved = skill._replace(args=("shelf",))
         assert moved.to_text() == "move_to(shelf)"
         assert hash(moved) == hash(("move_to", ("shelf",)))
-        renamed = dataclasses.replace(SkillInstance("done"), name="handover")
+        renamed = SkillInstance("done")._replace(name="handover")
         assert renamed.to_text() == "handover"
         assert hash(renamed) == hash(("handover", ()))
 
@@ -167,7 +166,7 @@ class TestSkillInstanceCache:
     def test_copies_keep_text_and_hash(self):
         skill = SkillInstance("place", ("shelf",))
         assert hash(skill) and skill.to_text()
-        for copy in (pickle.loads(pickle.dumps(skill)), dataclasses.replace(skill)):
+        for copy in (pickle.loads(pickle.dumps(skill)), skill._replace()):
             assert copy == skill and hash(copy) == hash(skill)
             assert copy.to_text() == "place(shelf)"
 
@@ -242,7 +241,7 @@ class TestSkillInstanceTuple:
     def test_replace_goes_through_the_arity_check(self, skill):
         arity = len(skill.args)
         with pytest.raises(ValueError, match=rf"^{skill.name} takes {arity} argument\(s\), got 2$"):
-            dataclasses.replace(skill, args=("a", "b"))
+            skill._replace(args=("a", "b"))
 
 
 class TestGroundedInstances:
