@@ -211,6 +211,7 @@ def _exec_doc(exec_trace) -> dict:
 
 
 def _plan_doc(command, trace, exec_trace, goal_ok: Optional[bool]) -> dict:
+    texts = {c: c.to_text() for c in set().union(*trace.step_scores)}
     doc = {
         "status": "ok" if exec_trace.all_ok() else "failed",
         "command": {
@@ -222,7 +223,7 @@ def _plan_doc(command, trace, exec_trace, goal_ok: Optional[bool]) -> dict:
         "plan": [
             {
                 "skill": skill.to_text(),
-                "scores": {c.to_text(): value for c, value in scores.items()},
+                "scores": {texts[c]: value for c, value in scores.items()},
             }
             for skill, scores in zip(trace.steps, trace.step_scores)
         ],

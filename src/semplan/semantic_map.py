@@ -114,6 +114,26 @@ class SemanticMap(namedtuple("SemanticMap", "rooms furniture doors")):
                 parent[find(d.connects[0])] = find(d.connects[1])
         return {room: find(room) for room in parent}
 
+    @cached_property
+    def located(self) -> dict:
+        """Place name -> (anchor, room); locate fills it one place at a time."""
+        return {}
+
+    def locate(self, name: str) -> Optional[tuple[Point2, Optional[str]]]:
+        """(anchor, room_of(anchor)) of the place called name, or None if there is none.
+
+        The room is room_of's, not Furniture.room: where contours overlap,
+        the smallest containing room name wins.
+        """
+        hit = self.located.get(name)
+        if hit is None:
+            place = self.places.get(name)
+            if place is None:
+                return None
+            point = anchor(place)
+            hit = self.located[name] = (point, room_of(self, point))
+        return hit
+
     def find_furniture(self, name: str) -> Furniture:
         if name not in self.index.furniture:
             raise UnknownFurniture(name)

@@ -8,6 +8,10 @@ follow_person succeed when the target's room is connected to the robot's
 room through passable doors (nav.plan_path gives the route). Failures never
 raise; they come back as outcomes so a whole plan can be folded into a
 trace.
+
+run_plan locates the robot once and carries its room through the fold: only
+a move changes it, to the target's room. A place's anchor and that anchor's
+room are computed once per map (SemanticMap.locate).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import IO, NamedTuple, Optional, Union
 from .errors import InvalidGoalSpec, ParseError, UnknownSkill, ValidationError
 from .geometry import Point2, euclidean
 from .jsondoc import load_object, parse_point
-from .semantic_map import OPERATOR, SemanticMap, anchor, room_of
+from .semantic_map import OPERATOR, SemanticMap, room_of
 from .skills import SkillInstance
 
 HANDOVER_RANGE = 1.0
@@ -85,92 +89,90 @@ def load_world(smap: SemanticMap, source: Union[str, IO]) -> WorldState:
     return WorldState(placements=dict(sorted(objects.items())), **poses)
 
 
-def _resolve_location(smap: SemanticMap, world: WorldState, name: str) -> Optional[Point2]:
-    if name == OPERATOR:
-        return world.operator
-    place = smap.places.get(name)
-    return None if place is None else anchor(place)
-
-
-def _go_to(smap: SemanticMap, world: WorldState, target: Point2):
+def _go_to(smap: SemanticMap, world: WorldState, here, target: Point2, there):
     # Rooms are free space, so this holds exactly when nav.plan_path finds a route.
-    here, there = room_of(smap, world.robot), room_of(smap, target)
     if here is None or there is None or smap.components[here] != smap.components[there]:
-        return world, SkillOutcome.failed(NO_PATH)
+        return world, SkillOutcome.failed(NO_PATH), here
     return WorldState(world.placements, target, world.operator, world.held, world.found,
-                      world.delivered), _SUCCESS
+                      world.delivered), _SUCCESS, there
 
 
-def apply_skill(smap: SemanticMap, world: WorldState, skill: SkillInstance):
-    """One skill transition; failures return the input world unchanged."""
+def _apply(smap: SemanticMap, world: WorldState, skill: SkillInstance, here: Optional[str]):
+    """apply_skill with here = room_of(smap, world.robot) given; also returns the new here."""
     name = skill.name
+    if name == "follow_person" or name == "move_to" and skill.args[0] == OPERATOR:
+        return _go_to(smap, world, here, world.operator, room_of(smap, world.operator))
     if name == "move_to":
-        target = _resolve_location(smap, world, skill.args[0])
-        if target is None:
-            return world, SkillOutcome.failed(UNKNOWN_LOCATION)
-        return _go_to(smap, world, target)
-
-    if name == "follow_person":
-        return _go_to(smap, world, world.operator)
+        located = smap.locate(skill.args[0])
+        if located is None:
+            return world, SkillOutcome.failed(UNKNOWN_LOCATION), here
+        return _go_to(smap, world, here, *located)
 
     if name == "find_obj":
         obj = skill.args[0]
         furniture = world.placements.get(obj)
         if furniture is None:
-            return world, SkillOutcome.failed(NOT_FOUND)
-        if smap.find_furniture(furniture).room != room_of(smap, world.robot):
-            return world, SkillOutcome.failed(NOT_VISIBLE)
+            return world, SkillOutcome.failed(NOT_FOUND), here
+        if smap.find_furniture(furniture).room != here:
+            return world, SkillOutcome.failed(NOT_VISIBLE), here
         return WorldState(world.placements, world.robot, world.operator, world.held,
-                          world.found | {obj}, world.delivered), _SUCCESS
+                          world.found | {obj}, world.delivered), _SUCCESS, here
 
     if name == "grasp":
         obj = skill.args[0]
         if world.held is not None:
-            return world, SkillOutcome.failed(GRIPPER_OCCUPIED)
+            return world, SkillOutcome.failed(GRIPPER_OCCUPIED), here
         if obj not in world.found:
-            return world, SkillOutcome.failed(NOT_VISIBLE)
+            return world, SkillOutcome.failed(NOT_VISIBLE), here
         furniture = world.placements.get(obj)
         if furniture is None:
-            return world, SkillOutcome.failed(NOT_FOUND)
-        if smap.find_furniture(furniture).room != room_of(smap, world.robot):
-            return world, SkillOutcome.failed(NOT_IN_ROOM)
+            return world, SkillOutcome.failed(NOT_FOUND), here
+        if smap.find_furniture(furniture).room != here:
+            return world, SkillOutcome.failed(NOT_IN_ROOM), here
         placements = {k: v for k, v in world.placements.items() if k != obj}
         return WorldState(placements, world.robot, world.operator, obj, world.found - {obj},
-                          world.delivered), _SUCCESS
+                          world.delivered), _SUCCESS, here
 
     if name == "place":
         furniture_name = skill.args[0]
         if world.held is None:
-            return world, SkillOutcome.failed(NOTHING_HELD)
+            return world, SkillOutcome.failed(NOTHING_HELD), here
         if furniture_name not in smap.index.furniture:
-            return world, SkillOutcome.failed(UNKNOWN_LOCATION)
-        if smap.find_furniture(furniture_name).room != room_of(smap, world.robot):
-            return world, SkillOutcome.failed(NOT_IN_ROOM)
+            return world, SkillOutcome.failed(UNKNOWN_LOCATION), here
+        if smap.find_furniture(furniture_name).room != here:
+            return world, SkillOutcome.failed(NOT_IN_ROOM), here
         placements = dict(
             sorted(list(world.placements.items()) + [(world.held, furniture_name)])
         )
         return WorldState(placements, world.robot, world.operator, None, world.found,
-                          world.delivered), _SUCCESS
+                          world.delivered), _SUCCESS, here
 
     if name == "handover":
         if world.held is None:
-            return world, SkillOutcome.failed(NOTHING_HELD)
+            return world, SkillOutcome.failed(NOTHING_HELD), here
         if euclidean(world.robot, world.operator) > HANDOVER_RANGE:
-            return world, SkillOutcome.failed(TOO_FAR)
+            return world, SkillOutcome.failed(TOO_FAR), here
         return WorldState(world.placements, world.robot, world.operator, None, world.found,
-                          world.delivered + (world.held,)), _SUCCESS
+                          world.delivered + (world.held,)), _SUCCESS, here
 
     if name == "answer" or name == "done":
-        return world, _SUCCESS
+        return world, _SUCCESS, here
 
     raise UnknownSkill(f"simulator has no semantics for {name}")
+
+
+def apply_skill(smap: SemanticMap, world: WorldState, skill: SkillInstance):
+    """One skill transition; failures return the input world unchanged."""
+    world, outcome, _ = _apply(smap, world, skill, room_of(smap, world.robot))
+    return world, outcome
 
 
 def run_plan(smap: SemanticMap, world: WorldState, plan) -> ExecTrace:
     """Fold apply_skill over a plan; stop at the first failure or at done."""
     steps = []
+    here = room_of(smap, world.robot)
     for skill in plan:
-        world, outcome = apply_skill(smap, world, skill)
+        world, outcome, here = _apply(smap, world, skill, here)
         steps.append((skill, outcome))
         if not outcome.ok or skill.name == "done":
             break

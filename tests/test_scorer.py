@@ -157,6 +157,38 @@ class TestNormalize:
                 assert abs(base[skill] - scaled[skill]) <= 1e-12
 
 
+def comprehension_normalize(scores: dict) -> dict:
+    total = sum(scores.values())
+    return {candidate: value / total for candidate, value in scores.items()}
+
+
+NONNEGATIVE_SCORES = st.one_of(
+    st.integers(0, 2**53),
+    st.floats(0.0, 1e300),
+    st.floats(0.0, 1e-300),  # subnormals: sums near underflow
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1.5, 3]),
+)
+
+
+class TestNormalizeBitwise:
+    """The printed plan carries these floats, so any rewrite of normalize
+    must give the comprehension's key order and the same bits."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(NONNEGATIVE_SCORES, min_size=1, max_size=50), st.randoms())
+    def test_same_floats_and_order_as_the_comprehension(self, values, rng):
+        candidates = [parse_skill(f"find_obj(x{i})") for i in range(len(values))]
+        rng.shuffle(candidates)
+        scores = dict(zip(candidates, values))
+        try:
+            response = ScoreResponse(scores)
+        except ScorerFailure:
+            return  # all zero
+        got, expected = normalize(response), comprehension_normalize(scores)
+        assert list(got) == list(expected) == candidates
+        assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()]
+
+
 SCENARIO_DOC = {
     "command": "Bring me the apple",
     "rows": [
@@ -189,6 +221,17 @@ class TestScriptedScorer:
         scorer = ScriptedScorer(load_scenario(json.dumps(SCENARIO_DOC)))
         with pytest.raises(ScorerFailure, match=r"^no scripted score for handover at step 0$"):
             scorer.score(request_for("handover", "done"))
+
+    @pytest.mark.parametrize("texts, missing", [
+        (("handover", "follow_person", "done"), "handover"),
+        (("follow_person", "handover", "done"), "follow_person"),
+        (("done", "grasp(apple)", "handover"), "grasp(apple)"),
+    ])
+    def test_names_the_first_missing_candidate(self, texts, missing):
+        scorer = ScriptedScorer(load_scenario(json.dumps(SCENARIO_DOC)))
+        with pytest.raises(ScorerFailure) as err:
+            scorer.score(request_for(*texts))
+        assert str(err.value) == f"no scripted score for {missing} at step 0"
 
     def test_command_mismatch(self):
         scorer = ScriptedScorer(load_scenario(json.dumps(SCENARIO_DOC)))

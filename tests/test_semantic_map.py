@@ -296,6 +296,29 @@ class TestFurnitureAnchor:
         assert anchor.y == pytest.approx(1.0)
 
 
+class TestLocate:
+    def test_anchor_and_its_room_filled_one_name_at_a_time(self, golden_map):
+        assert golden_map.located == {}
+        for name, place in golden_map.places.items():
+            point = anchor(place)
+            assert golden_map.locate(name) == (point, room_of(golden_map, point))
+            assert list(golden_map.located)[-1] == name
+        assert list(golden_map.located) == list(golden_map.places)
+
+    def test_unknown_place_is_none_and_not_stored(self, golden_map):
+        assert golden_map.locate("garage") is None
+        assert golden_map.locate("operator") is None
+        assert golden_map.located == {}
+
+    def test_room_is_room_of_not_the_furniture_room(self):
+        # The table's anchor (6, 2) lies in both rooms; "a" is the smaller name.
+        rooms = [Room("a", validate_polygon([(0, 0), (7, 0), (7, 4), (0, 4)])),
+                 Room("b", validate_polygon([(5, 0), (12, 0), (12, 4), (5, 4)]))]
+        table = Furniture("table", "b", validate_polygon([(5.5, 1), (6.5, 1), (6.5, 3), (5.5, 3)]))
+        smap = make_map(rooms=rooms, furniture=[table])
+        assert smap.locate("table") == (Point2(6, 2), "a")
+
+
 @st.composite
 def histograms(draw):
     """Columns of whole-metre widths and heights on one base line, turned to face any side."""

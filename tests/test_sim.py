@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -7,13 +8,25 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semplan import semantic_map, sim
 from semplan.errors import InvalidGoalSpec, NoPath, OutsideArena, ParseError, ValidationError
-from semplan.geometry import Point2, centroid
+from semplan.geometry import Point2, centroid, euclidean
 from semplan.nav import plan_path
-from semplan.semantic_map import load_map, room_of, save_map, set_door_passable
+from semplan.semantic_map import (
+    OPERATOR,
+    anchor,
+    load_map,
+    make_map,
+    room_of,
+    save_map,
+    set_door_passable,
+)
 from semplan.sim import (
     GRIPPER_OCCUPIED,
+    HANDOVER_RANGE,
     NO_PATH,
     NOT_FOUND,
     NOT_IN_ROOM,
@@ -21,6 +34,8 @@ from semplan.sim import (
     NOTHING_HELD,
     TOO_FAR,
     UNKNOWN_LOCATION,
+    ExecTrace,
+    SkillOutcome,
     WorldState,
     apply_skill,
     check_goal,
@@ -443,3 +458,260 @@ class TestCheckGoal:
         for bad in ("bring(apple)", "deliver(a,b)", "place(apple)", "deliver", ""):
             with pytest.raises(InvalidGoalSpec):
                 check_goal(golden_world, bad)
+
+
+def reference_apply_skill(smap, world, skill):
+    """The simulator's transition without carried state: it locates the robot
+    and computes each anchor on every call, and never reads SemanticMap.located."""
+    failed = SkillOutcome.failed
+    here = room_of(smap, world.robot)
+    name = skill.name
+    if name in ("move_to", "follow_person"):
+        if name == "follow_person" or skill.args[0] == OPERATOR:
+            target = world.operator
+        elif skill.args[0] in smap.places:
+            target = anchor(smap.places[skill.args[0]])
+        else:
+            return world, failed(UNKNOWN_LOCATION)
+        there = room_of(smap, target)
+        if here is None or there is None or smap.components[here] != smap.components[there]:
+            return world, failed(NO_PATH)
+        return world._replace(robot=target), SkillOutcome(ok=True)
+    if name == "find_obj":
+        furniture = world.placements.get(skill.args[0])
+        if furniture is None:
+            return world, failed(NOT_FOUND)
+        if smap.find_furniture(furniture).room != here:
+            return world, failed(NOT_VISIBLE)
+        return world._replace(found=world.found | {skill.args[0]}), SkillOutcome(ok=True)
+    if name == "grasp":
+        obj = skill.args[0]
+        if world.held is not None:
+            return world, failed(GRIPPER_OCCUPIED)
+        if obj not in world.found:
+            return world, failed(NOT_VISIBLE)
+        if obj not in world.placements:
+            return world, failed(NOT_FOUND)
+        if smap.find_furniture(world.placements[obj]).room != here:
+            return world, failed(NOT_IN_ROOM)
+        placements = {k: v for k, v in world.placements.items() if k != obj}
+        return world._replace(placements=placements, held=obj, found=world.found - {obj}), \
+            SkillOutcome(ok=True)
+    if name == "place":
+        if world.held is None:
+            return world, failed(NOTHING_HELD)
+        if skill.args[0] not in smap.index.furniture:
+            return world, failed(UNKNOWN_LOCATION)
+        if smap.find_furniture(skill.args[0]).room != here:
+            return world, failed(NOT_IN_ROOM)
+        placements = dict(sorted({**world.placements, world.held: skill.args[0]}.items()))
+        return world._replace(placements=placements, held=None), SkillOutcome(ok=True)
+    if name == "handover":
+        if world.held is None:
+            return world, failed(NOTHING_HELD)
+        if euclidean(world.robot, world.operator) > HANDOVER_RANGE:
+            return world, failed(TOO_FAR)
+        return world._replace(held=None, delivered=world.delivered + (world.held,)), \
+            SkillOutcome(ok=True)
+    return world, SkillOutcome(ok=True)  # answer, done
+
+
+def fold(step, smap, world, plan) -> ExecTrace:
+    steps = []
+    for skill in plan:
+        world, outcome = step(smap, world, skill)
+        steps.append((skill, outcome))
+        if not outcome.ok or skill.name == "done":
+            break
+    return ExecTrace(steps=tuple(steps), final=world)
+
+
+def square(x0, y0, x1, y1):
+    return [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]
+
+
+# a_hall and b_den overlap on x in [5, 10]: desk belongs to b_den, but its
+# anchor (7, 5) lies in both, so room_of gives a_hall. c_attic has no door.
+OVERLAP_DOC = {
+    "rooms": [
+        {"name": "a_hall", "contour": square(0, 0, 10, 10)},
+        {"name": "b_den", "contour": square(5, 0, 15, 10)},
+        {"name": "c_attic", "contour": square(20, 0, 25, 10)},
+    ],
+    "furniture": [
+        {"name": "desk", "room": "b_den", "contour": square(6, 4, 8, 6)},
+        {"name": "lamp", "room": "b_den", "contour": square(12, 4, 14, 6)},
+        {"name": "chest", "room": "c_attic", "contour": square(21, 1, 23, 3)},
+    ],
+    "doors": [{"name": "arch", "position": [10, 5], "connects": ["a_hall", "b_den"]}],
+}
+OBJECTS = ("apple", "cup", "milk")
+GOLDEN_MAP_TEXT = (Path(__file__).parent / "fixtures" / "maps" / "golden_arena.json").read_text()
+
+
+def grid_doc_with_furniture(seed: int) -> dict:
+    """A mapgen grid map with a table inside about half of its rooms."""
+    rng = random.Random(seed)
+    doc, _, cells = random_grid_map(rng)
+    for room, (i, j) in sorted(cells.items()):
+        if rng.random() < 0.5:
+            x0, y0 = i * CELL_W + 1.0, j * CELL_H + 1.0
+            doc["furniture"].append(
+                {"name": f"table_{i}{j}", "room": room, "contour": square(x0, y0, x0 + 2, y0 + 2)}
+            )
+    return doc
+
+
+@st.composite
+def replays(draw):
+    """A map (golden, overlapping rooms or a seeded grid), a world on it and a
+    plan, mostly of fetch, place and handover runs that can succeed."""
+    doc = draw(st.one_of(
+        st.just(None), st.just(OVERLAP_DOC), st.integers(0, 10_000).map(grid_doc_with_furniture),
+    ))
+    smap = load_map(GOLDEN_MAP_TEXT if doc is None else json.dumps(doc))
+    furniture = sorted(smap.index.furniture) or ["garage"]
+    anchors = [anchor(place) for place in smap.places.values()]
+    xs, ys = zip(*((v.x, v.y) for r in smap.rooms for v in r.contour.vertices))
+
+    def point():
+        kind = draw(st.sampled_from(("anchor", "anchor", "anchor", "anywhere", "outside")))
+        if kind == "anchor":
+            return draw(st.sampled_from(anchors))
+        if kind == "anywhere":
+            return Point2(draw(st.floats(min(xs) - 1, max(xs) + 1)),
+                          draw(st.floats(min(ys) - 1, max(ys) + 1)))
+        return Point2(-5.0, -5.0)  # outside every room
+
+    robot = point()
+    operator = point() if draw(st.booleans()) else Point2(robot.x + 0.5, robot.y)
+    placed = draw(st.lists(st.sampled_from(OBJECTS), unique=True))
+    placements = {obj: draw(st.sampled_from(furniture)) for obj in sorted(placed)}
+    held = draw(st.one_of(st.none(), st.sampled_from(OBJECTS)))
+    if held in placements:
+        held = None
+    found = frozenset(draw(st.lists(st.sampled_from(OBJECTS), unique=True)))
+    world = WorldState(placements, robot, operator, held, found)
+
+    single = st.sampled_from(
+        [f"move_to({p})" for p in (*smap.places, OPERATOR, "garage")]
+        + [f"{verb}({o})" for verb in ("find_obj", "grasp", "answer") for o in (*OBJECTS, "ghost")]
+        + [f"place({f})" for f in (*furniture, smap.rooms[0].name)]
+        + ["handover", "follow_person", "done"]
+    )
+    texts = []
+    for kind in draw(st.lists(st.integers(0, 3), min_size=1, max_size=5)):
+        if kind == 0:
+            texts.append(draw(single))
+        elif kind == 1:
+            obj = draw(st.sampled_from(OBJECTS))
+            where = placements.get(obj) or draw(st.sampled_from(furniture))
+            texts += [f"move_to({where})", f"find_obj({obj})", f"grasp({obj})"]
+        elif kind == 2:
+            where = draw(st.sampled_from(furniture))
+            texts += [f"move_to({where})", f"place({where})"]
+        else:
+            texts += [draw(st.sampled_from(["move_to(operator)", "follow_person"])), "handover"]
+    return smap, world, [parse_skill(t) for t in texts]
+
+
+class TestRunPlanIsTheFold:
+    """run_plan carries the robot's room through the plan and locates each
+    place once per map; neither changes a step, an outcome or the final world."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(replays())
+    def test_equals_the_fold_of_apply_skill(self, case):
+        smap, world, plan = case
+        trace = run_plan(smap, world, plan)
+        assert trace == fold(apply_skill, smap, world, plan)
+        assert trace == fold(reference_apply_skill, load_map(save_map(smap)), world, plan)
+        for name, located in smap.located.items():
+            point = anchor(smap.places[name])
+            assert located == (point, room_of(smap, point))
+
+    def test_robot_outside_every_room(self, golden_map):
+        world = WorldState(placements={"apple": "kitchen_table"}, robot=Point2(-5.0, -5.0),
+                           operator=Point2(9.0, 3.0), found=frozenset({"apple"}))
+        for text, reason in (
+            ("find_obj(apple)", NOT_VISIBLE),
+            ("grasp(apple)", NOT_IN_ROOM),
+            ("move_to(kitchen)", NO_PATH),
+            ("move_to(operator)", NO_PATH),
+            ("follow_person", NO_PATH),
+        ):
+            plan = [parse_skill(text), parse_skill("done")]
+            trace = run_plan(golden_map, world, plan)
+            assert trace == fold(apply_skill, golden_map, world, plan)
+            assert trace.steps[0][1].reason == reason
+            assert trace.final == world
+        holding = world._replace(placements={}, held="apple")
+        trace = run_plan(golden_map, holding, [parse_skill("place(shelf)")])
+        assert trace.steps[0][1].reason == NOT_IN_ROOM
+
+    def test_overlapping_rooms_use_the_anchors_room(self):
+        smap = load_map(json.dumps(OVERLAP_DOC))
+        world = WorldState(placements={"apple": "desk", "cup": "lamp"},
+                           robot=Point2(2.0, 2.0), operator=Point2(2.0, 2.5))
+        plan = [parse_skill(t) for t in ("move_to(lamp)", "find_obj(cup)", "move_to(desk)",
+                                         "find_obj(apple)", "done")]
+        trace = run_plan(smap, world, plan)
+        assert trace == fold(reference_apply_skill, smap, world, plan)
+        assert [outcome.reason for _, outcome in trace.steps] == [None, None, None, NOT_VISIBLE]
+        assert smap.index.furniture["desk"].room == "b_den"
+        assert smap.located["desk"][1] == "a_hall"
+        assert trace.final.robot == smap.located["desk"][0]
+
+
+def bring_apple(fixtures_dir):
+    scenario = fixtures_dir / "scenarios" / "bring_apple"
+    smap = load_map((fixtures_dir / "maps" / "golden_arena.json").read_text())
+    world = load_world(smap, (scenario / "world.json").read_text())
+    manifest = json.loads((fixtures_dir / "scenarios" / "manifest.json").read_text())
+    steps = next(s["expected_steps"] for s in manifest if s["name"] == "bring_apple")
+    return smap, world, [parse_skill(t) for t in steps]
+
+
+class TestPlaceMemo:
+    def test_holds_exactly_the_places_moved_to(self, fixtures_dir):
+        smap, world, plan = bring_apple(fixtures_dir)
+        assert run_plan(smap, world, plan).all_ok()
+        point = anchor(smap.index.furniture["kitchen_table"])
+        assert smap.located == {"kitchen_table": (point, "kitchen")}
+
+    def test_room_of_calls_at_most_one_plus_moves(self, fixtures_dir, monkeypatch):
+        smap, world, plan = bring_apple(fixtures_dir)
+        calls = []
+
+        def counted(smap, p):
+            calls.append(p)
+            return room_of(smap, p)
+
+        monkeypatch.setattr(semantic_map, "room_of", counted)
+        monkeypatch.setattr(sim, "room_of", counted)
+        moves = sum(skill.name in ("move_to", "follow_person") for skill in plan)
+        for _ in range(2):
+            calls.clear()
+            assert run_plan(smap, world, plan).all_ok()
+            assert len(calls) <= 1 + moves, calls
+
+    def test_load_and_copies_leave_it_unbuilt(self, fixtures_dir):
+        smap, world, plan = bring_apple(fixtures_dir)
+        assert "located" not in vars(smap)
+        assert "located" not in vars(make_map(smap.rooms, smap.furniture, smap.doors))
+        run_plan(smap, world, plan)
+        assert smap.located
+        for copy in (set_door_passable(smap, "kitchen_living", False), smap._replace()):
+            assert "located" not in vars(copy)
+            assert copy.located == {}
+
+    def test_map_value_is_unchanged(self, fixtures_dir):
+        fresh, _, _ = bring_apple(fixtures_dir)
+        used, world, plan = bring_apple(fixtures_dir)
+        run_plan(used, world, plan)
+        assert used.located and used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert save_map(used) == save_map(fresh)
+        copy = pickle.loads(pickle.dumps(used))
+        assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+        assert copy.located == used.located
