@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DegeneratePolygon, InvalidPolygon
@@ -129,9 +128,10 @@ class Polygon2(namedtuple("Polygon2", "vertices")):
 
     Construction validates the contour and raises InvalidPolygon with a
     reason code when it has fewer than three vertices, repeats a vertex
-    consecutively (including the closing wrap) or self-intersects. No
-    __slots__, so that the cached_property below has an instance dict.
+    consecutively (including the closing wrap) or self-intersects.
     """
+
+    __slots__ = ()
 
     def __new__(cls, vertices: Iterable[Point2]):
         verts = tuple(vertices)
@@ -152,19 +152,6 @@ class Polygon2(namedtuple("Polygon2", "vertices")):
         n = len(self.vertices)
         for i in range(n):
             yield self.vertices[i], self.vertices[(i + 1) % n]
-
-    @cached_property
-    def _near_box(self) -> tuple[float, float, float, float]:
-        # The edge distance rounds by a few ulps of the coordinates, so a point
-        # just past BOUNDARY_EPS can still test as BOUNDARY: pad ~45 ulps more.
-        xs, ys = sorted([v.x for v in self.vertices]), sorted([v.y for v in self.vertices])
-        pad = BOUNDARY_EPS + 1e-14 * max(-xs[0], -ys[0], xs[-1], ys[-1])
-        return xs[0] - pad, ys[0] - pad, xs[-1] + pad, ys[-1] + pad
-
-    def near(self, p: Point2) -> bool:
-        """False only for p more than BOUNDARY_EPS outside the bounding box: OUTSIDE."""
-        x0, y0, x1, y1 = self._near_box
-        return x0 <= p.x <= x1 and y0 <= p.y <= y1
 
 
 def _check_simple(verts: tuple[Point2, ...]) -> None:

@@ -4,10 +4,10 @@ Rooms are treated as free space: travel inside one room is a straight
 line, so a path is fully described by the sequence of doors it passes
 through. The door graph's nodes are the start point, the goal anchor and
 every passable door; edges join nodes that share a room. The doors come
-from the map's room -> passable-doors index (SemanticMap.passable_doors),
-built on the map's first query, so a query adds only its start and goal
-and makes a node only for the doors on the route it returns. Closed doors
-are skipped by the search itself, so replanning copies no map.
+from SemanticMap.passable_doors, and a furniture goal's anchor and room
+from SemanticMap.locate; both are built once per map. A query makes a
+node only for the doors on the route it returns. Closed doors are skipped
+by the search itself, so replanning copies no map.
 
 Dijkstra relaxes neighbours in node-id order and breaks ties
 lexicographically on the door-name sequence, so equal-length alternatives
@@ -22,7 +22,7 @@ from typing import Collection, NamedTuple, Union
 
 from .errors import NoPath, OutsideArena
 from .geometry import Point2, euclidean
-from .semantic_map import SemanticMap, furniture_anchor, room_of
+from .semantic_map import SemanticMap, room_of
 
 START = "start"
 GOAL = "goal"
@@ -47,13 +47,6 @@ class Path(NamedTuple):
         return tuple([n.door_name for n in self.waypoints if n.kind == DOOR])
 
 
-def _room(smap: SemanticMap, which: str, point: Point2) -> str:
-    room = room_of(smap, point)
-    if room is None:
-        raise OutsideArena(which)
-    return room
-
-
 def plan_path(
     smap: SemanticMap, start: Point2, goal: Union[str, Point2], closed: Collection[str] = ()
 ) -> Path:
@@ -66,9 +59,16 @@ def plan_path(
     """
     for name in closed:
         smap.find_door(name)
-    goal_anchor = goal if isinstance(goal, Point2) else furniture_anchor(smap, goal)
-    start_room = _room(smap, START, start)
-    goal_room = _room(smap, GOAL, goal_anchor)
+    if isinstance(goal, Point2):
+        goal_anchor, goal_room = goal, room_of(smap, goal)
+    else:
+        smap.find_furniture(goal)
+        goal_anchor, goal_room = smap.locate(goal)
+    start_room = room_of(smap, start)
+    if start_room is None:
+        raise OutsideArena(START)
+    if goal_room is None:
+        raise OutsideArena(GOAL)
     doors = smap.index.doors
     by_room = smap.passable_doors
 

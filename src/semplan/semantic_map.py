@@ -23,6 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
+    BOUNDARY_EPS,
     Containment,
     Point2,
     Polygon2,
@@ -72,8 +73,11 @@ class SemanticMap(namedtuple("SemanticMap", "rooms furniture doors")):
     """Rooms, furniture and doors, each sorted by name.
 
     No __slots__, so that the cached properties have an instance dict; a
-    copy made by _replace starts with none of them. index shadows tuple.index.
+    copy made by _replace or pickle starts with none. index shadows tuple.index.
     """
+
+    def __reduce__(self):
+        return SemanticMap, (self.rooms, self.furniture, self.doors)
 
     @cached_property
     def index(self) -> MapIndex:
@@ -94,6 +98,18 @@ class SemanticMap(namedtuple("SemanticMap", "rooms furniture doors")):
                 for room in d.connects:
                     by_room[room].append(d.name)
         return by_room
+
+    @cached_property
+    def room_boxes(self) -> tuple:
+        """(x0, y0, x1, y1, name, contour) per room, in name order: room_of's box test."""
+        boxes = []
+        for name, contour in self.rooms:
+            xs, ys = sorted([v.x for v in contour.vertices]), sorted([v.y for v in contour.vertices])
+            # The edge distance rounds by a few ulps of the coordinates, so a point
+            # just past BOUNDARY_EPS can still test as BOUNDARY: pad ~45 ulps more.
+            pad = BOUNDARY_EPS + 1e-14 * max(-xs[0], -ys[0], xs[-1], ys[-1])
+            boxes.append((xs[0] - pad, ys[0] - pad, xs[-1] + pad, ys[-1] + pad, name, contour))
+        return tuple(boxes)
 
     @cached_property
     def components(self) -> dict:
@@ -311,9 +327,10 @@ def room_of(smap: SemanticMap, p: Point2) -> Optional[str]:
     Overlapping contours are tolerated: the lexicographically smallest room
     name wins. Rooms are stored sorted, so the first hit is the answer.
     """
-    for r in smap.rooms:
-        if r.contour.near(p) and point_in_polygon(p, r.contour) is not Containment.OUTSIDE:
-            return r.name
+    x, y = p.x, p.y
+    for x0, y0, x1, y1, name, contour in smap.room_boxes:
+        if x0 <= x <= x1 and y0 <= y <= y1 and point_in_polygon(p, contour) is not Containment.OUTSIDE:
+            return name
     return None
 
 
@@ -335,11 +352,6 @@ def set_door_passable(smap: SemanticMap, door_name: str, passable: bool) -> Sema
         d._replace(passable=passable) if d.name == door_name else d for d in smap.doors
     )
     return smap._replace(doors=doors)
-
-
-def furniture_anchor(smap: SemanticMap, furniture_name: str) -> Point2:
-    """Approach/goal point for a piece of furniture: its anchor."""
-    return anchor(smap.find_furniture(furniture_name))
 
 
 def map_warnings(smap: SemanticMap) -> list[str]:

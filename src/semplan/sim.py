@@ -6,8 +6,9 @@ robot only finds objects on furniture in its current room) and there is
 a single gripper. Movement checks reachability, not routes: move_to and
 follow_person succeed when the target's room is connected to the robot's
 room through passable doors (nav.plan_path gives the route). Failures never
-raise; they come back as outcomes so a whole plan can be folded into a
-trace.
+raise; they come back as outcomes so a whole plan can be folded into a trace.
+Objects lie on map furniture only: load_world enforces it, and a world built
+by hand must keep it too.
 
 run_plan locates the robot once and carries its room through the fold: only
 a move changes it, to the target's room. A place's anchor and that anchor's
@@ -134,15 +135,15 @@ def _apply(smap: SemanticMap, world: WorldState, skill: SkillInstance, here: Opt
                           world.delivered), _SUCCESS, here
 
     if name == "place":
-        furniture_name = skill.args[0]
         if world.held is None:
             return world, SkillOutcome.failed(NOTHING_HELD), here
-        if furniture_name not in smap.index.furniture:
+        furniture = smap.index.furniture.get(skill.args[0])
+        if furniture is None:
             return world, SkillOutcome.failed(UNKNOWN_LOCATION), here
-        if smap.find_furniture(furniture_name).room != here:
+        if furniture.room != here:
             return world, SkillOutcome.failed(NOT_IN_ROOM), here
         placements = dict(
-            sorted(list(world.placements.items()) + [(world.held, furniture_name)])
+            sorted(list(world.placements.items()) + [(world.held, furniture.name)])
         )
         return WorldState(placements, world.robot, world.operator, None, world.found,
                           world.delivered), _SUCCESS, here

@@ -283,6 +283,13 @@ class TestCentroid:
 
 
 class TestValidatePolygon:
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_plain_value_with_no_instance_dict(self, protocol):
+        poly = validate_polygon([(0, 0), (0, 1), (1, 1), (1, 0)])
+        assert not hasattr(poly, "__dict__")
+        copy = pickle.loads(pickle.dumps(poly, protocol))
+        assert type(copy) is type(poly) and copy == poly and hash(copy) == hash(poly)
+
     def test_too_few_vertices(self):
         with pytest.raises(InvalidPolygon) as err:
             validate_polygon([(0, 0), (1, 0)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semplan import nav, semantic_map
 from semplan.errors import NoPath, OutsideArena, UnknownDoor, UnknownFurniture
 from semplan.geometry import Point2, euclidean
 from semplan.nav import DOOR, GOAL, START, Path, plan_path, replan
@@ -162,9 +163,24 @@ class TestPlanPath:
         assert path.waypoints[-1].anchor == Point2(15, 2)
         assert_path_sound(golden_map, path)
 
-    def test_builds_no_place_mapping(self, golden_map):
-        plan_path(golden_map, Point2(1, 5), "shelf")
-        assert "places" not in vars(golden_map)
+    def test_furniture_goal_located_once_per_map(self, golden_map, monkeypatch):
+        first = plan_path(golden_map, Point2(1, 5), "shelf")
+        anchors, rooms = [], []
+        anchor = semantic_map.anchor
+
+        def counted_anchor(place):
+            anchors.append(place.name)
+            return anchor(place)
+
+        def counted_room_of(smap, p):
+            rooms.append(p)
+            return room_of(smap, p)
+
+        monkeypatch.setattr(semantic_map, "anchor", counted_anchor)
+        monkeypatch.setattr(semantic_map, "room_of", counted_room_of)
+        monkeypatch.setattr(nav, "room_of", counted_room_of)
+        assert plan_path(golden_map, Point2(1, 5), "shelf") == first
+        assert anchors == [] and rooms == [Point2(1, 5)]
 
     def test_point_goal_matches_furniture_goal(self, golden_map):
         by_name = plan_path(golden_map, Point2(1, 5), "shelf")

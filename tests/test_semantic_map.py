@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -21,13 +22,13 @@ from semplan.geometry import (
     point_in_polygon,
     validate_polygon,
 )
+from semplan.nav import plan_path
 from semplan.semantic_map import (
     Door,
     Furniture,
     Room,
     SemanticLocation,
     anchor,
-    furniture_anchor,
     load_map,
     make_map,
     map_warnings,
@@ -36,6 +37,8 @@ from semplan.semantic_map import (
     semantic_location,
     set_door_passable,
 )
+
+from mapgen import CELL_H, CELL_W, random_grid_map
 
 
 @pytest.fixture
@@ -180,6 +183,32 @@ class TestSaveMap:
         assert out.index('"a_door"') < out.index('"b_door"')
 
 
+def ulps_from(x: float, k: int) -> float:
+    """x moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def grid_with_wall_probes(rng: random.Random):
+    """A mapgen grid map and points on it: uniform ones, and ones a few ulps
+    either side of each grid wall, and of BOUNDARY_EPS off it, where rooms meet."""
+    doc, _, cells = random_grid_map(rng)
+    cols = max(i for i, _ in cells.values()) + 1
+    rows = max(j for _, j in cells.values()) + 1
+    width, height = cols * CELL_W, rows * CELL_H
+    points = [Point2(rng.uniform(-1, width + 1), rng.uniform(-1, height + 1)) for _ in range(300)]
+    walls = [(float(i * CELL_W), True) for i in range(cols + 1)]
+    walls += [(float(j * CELL_H), False) for j in range(rows + 1)]
+    for wall, vertical in walls:
+        for offset in (-BOUNDARY_EPS, 0.0, BOUNDARY_EPS):
+            for k in range(-3, 4):
+                along = rng.uniform(-1, (height if vertical else width) + 1)
+                across = ulps_from(wall + offset, k)
+                points.append(Point2(across, along) if vertical else Point2(along, across))
+    return load_map(json.dumps(doc)), points
+
+
 class TestRoomOf:
     def test_room_centroid_maps_to_room(self, golden_map):
         from semplan.geometry import centroid
@@ -192,14 +221,16 @@ class TestRoomOf:
 
     def test_matches_per_room_containment_oracle(self, golden_map):
         rng = random.Random(5)
-        for _ in range(1000):
-            p = Point2(rng.uniform(-2, 20), rng.uniform(-2, 8))
-            expected = None
-            for room in sorted(golden_map.rooms, key=lambda r: r.name):
-                if point_in_polygon(p, room.contour) is not Containment.OUTSIDE:
-                    expected = room.name
-                    break
-            assert room_of(golden_map, p) == expected
+        cases = [(golden_map, [Point2(rng.uniform(-2, 20), rng.uniform(-2, 8)) for _ in range(1000)])]
+        cases += [grid_with_wall_probes(random.Random(seed)) for seed in range(8)]
+        for smap, points in cases:
+            for p in points:
+                expected = None
+                for room in sorted(smap.rooms, key=lambda r: r.name):
+                    if point_in_polygon(p, room.contour) is not Containment.OUTSIDE:
+                        expected = room.name
+                        break
+                assert room_of(smap, p) == expected
 
     def test_overlap_tie_break_lexicographic(self):
         overlapping = make_map(
@@ -279,21 +310,30 @@ class TestSetDoorPassable:
                 assert before == after
 
 
+def goal_anchor(smap, name):
+    """Where plan_path ends for the furniture goal name."""
+    return plan_path(smap, smap.locate(name)[0], name).waypoints[-1].anchor
+
+
 class TestFurnitureAnchor:
+    """A furniture goal's anchor, as SemanticMap.locate and nav.plan_path give it."""
+
     def test_table_anchor(self, golden_map):
-        assert furniture_anchor(golden_map, "kitchen_table") == Point2(2, 2)
+        assert golden_map.locate("kitchen_table") == (Point2(2, 2), "kitchen")
+        assert goal_anchor(golden_map, "kitchen_table") == Point2(2, 2)
 
     def test_unknown(self, golden_map):
+        assert golden_map.locate("sofa") is None
         with pytest.raises(UnknownFurniture):
-            furniture_anchor(golden_map, "sofa")
+            plan_path(golden_map, Point2(2, 2), "sofa")
 
     def test_triangle_table(self):
         room = Room("a", validate_polygon([(-1, -1), (5, -1), (5, 5), (-1, 5)]))
         table = Furniture("t", "a", validate_polygon([(0, 0), (3, 0), (0, 3)]))
         smap = make_map(rooms=[room], furniture=[table])
-        anchor = furniture_anchor(smap, "t")
-        assert anchor.x == pytest.approx(1.0)
-        assert anchor.y == pytest.approx(1.0)
+        for point in (smap.locate("t")[0], goal_anchor(smap, "t")):
+            assert point.x == pytest.approx(1.0)
+            assert point.y == pytest.approx(1.0)
 
 
 class TestLocate:

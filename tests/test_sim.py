@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semplan import semantic_map, sim
@@ -565,12 +565,16 @@ def grid_doc_with_furniture(seed: int) -> dict:
 @st.composite
 def replays(draw):
     """A map (golden, overlapping rooms or a seeded grid), a world on it and a
-    plan, mostly of fetch, place and handover runs that can succeed."""
+    plan, mostly of fetch, place and handover runs that can succeed.
+
+    Objects lie only on furniture the map has, as load_world requires; the
+    map's lack of garage makes move_to(garage) and place(garage) fail."""
     doc = draw(st.one_of(
         st.just(None), st.just(OVERLAP_DOC), st.integers(0, 10_000).map(grid_doc_with_furniture),
     ))
     smap = load_map(GOLDEN_MAP_TEXT if doc is None else json.dumps(doc))
-    furniture = sorted(smap.index.furniture) or ["garage"]
+    furniture = sorted(smap.index.furniture)
+    targets = furniture or ["garage"]
     anchors = [anchor(place) for place in smap.places.values()]
     xs, ys = zip(*((v.x, v.y) for r in smap.rooms for v in r.contour.vertices))
 
@@ -585,7 +589,7 @@ def replays(draw):
 
     robot = point()
     operator = point() if draw(st.booleans()) else Point2(robot.x + 0.5, robot.y)
-    placed = draw(st.lists(st.sampled_from(OBJECTS), unique=True))
+    placed = draw(st.lists(st.sampled_from(OBJECTS), unique=True)) if furniture else []
     placements = {obj: draw(st.sampled_from(furniture)) for obj in sorted(placed)}
     held = draw(st.one_of(st.none(), st.sampled_from(OBJECTS)))
     if held in placements:
@@ -596,7 +600,7 @@ def replays(draw):
     single = st.sampled_from(
         [f"move_to({p})" for p in (*smap.places, OPERATOR, "garage")]
         + [f"{verb}({o})" for verb in ("find_obj", "grasp", "answer") for o in (*OBJECTS, "ghost")]
-        + [f"place({f})" for f in (*furniture, smap.rooms[0].name)]
+        + [f"place({f})" for f in (*furniture, smap.rooms[0].name, "garage")]
         + ["handover", "follow_person", "done"]
     )
     texts = []
@@ -605,14 +609,23 @@ def replays(draw):
             texts.append(draw(single))
         elif kind == 1:
             obj = draw(st.sampled_from(OBJECTS))
-            where = placements.get(obj) or draw(st.sampled_from(furniture))
+            where = placements.get(obj) or draw(st.sampled_from(targets))
             texts += [f"move_to({where})", f"find_obj({obj})", f"grasp({obj})"]
         elif kind == 2:
-            where = draw(st.sampled_from(furniture))
+            where = draw(st.sampled_from(targets))
             texts += [f"move_to({where})", f"place({where})"]
         else:
             texts += [draw(st.sampled_from(["move_to(operator)", "follow_person"])), "handover"]
     return smap, world, [parse_skill(t) for t in texts]
+
+
+# A 2x2 grid with no furniture: a world on it places no object.
+BARE_GRID = load_map(json.dumps({
+    "rooms": [{"name": f"room_{i}{j}", "contour": square(6 * i, 5 * j, 6 * i + 6, 5 * j + 5)}
+              for i in range(2) for j in range(2)],
+    "doors": [{"name": "door_0", "position": [6, 2.5], "connects": ["room_00", "room_10"]}],
+}))
+BARE_WORLD = WorldState({}, Point2(3.0, 2.5), Point2(9.0, 2.5), found=frozenset({"cup"}))
 
 
 class TestRunPlanIsTheFold:
@@ -621,6 +634,10 @@ class TestRunPlanIsTheFold:
 
     @settings(max_examples=400, deadline=None)
     @given(replays())
+    @example((BARE_GRID, BARE_WORLD, [parse_skill("find_obj(cup)")]))
+    @example((BARE_GRID, BARE_WORLD, [parse_skill("grasp(cup)")]))
+    @example((BARE_GRID, BARE_WORLD, [parse_skill("move_to(garage)")]))
+    @example((BARE_GRID, BARE_WORLD._replace(held="cup"), [parse_skill("place(garage)")]))
     def test_equals_the_fold_of_apply_skill(self, case):
         smap, world, plan = case
         trace = run_plan(smap, world, plan)
@@ -714,4 +731,18 @@ class TestPlaceMemo:
         assert save_map(used) == save_map(fresh)
         copy = pickle.loads(pickle.dumps(used))
         assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
-        assert copy.located == used.located
+        # A copy starts with no caches; locate rebuilds equal values.
+        assert vars(copy) == {}
+        for name, located in used.located.items():
+            assert copy.locate(name) == located
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_equal_maps_pickle_to_equal_bytes(self, fixtures_dir, protocol):
+        fresh, _, _ = bring_apple(fixtures_dir)
+        used, world, plan = bring_apple(fixtures_dir)
+        run_plan(used, world, plan)
+        plan_path(used, world.operator, "kitchen_table")
+        assert {"located", "components", "passable_doors", "room_boxes"} <= set(vars(used))
+        data = pickle.dumps(fresh, protocol)
+        assert pickle.dumps(used, protocol) == data
+        assert pickle.dumps(pickle.loads(pickle.dumps(used, protocol)), protocol) == data
