@@ -15,7 +15,7 @@ def test_golden_covers_every_subcommand():
     assert {case["argv"][0] for case in CASES} == {
         "plan-task", "sim", "map", "plan-path", "locate"
     }
-    assert sum(case["argv"][0] == "plan-task" for case in CASES) == 26
+    assert sum(case["argv"][0] == "plan-task" for case in CASES) == 28
 
 
 @pytest.mark.parametrize(

@@ -59,6 +59,20 @@ def cases() -> list:
             {"argv": ["locate", ARENA, "2", "2", "--format", fmt]},
             {"argv": ["locate", ARENA, "100", "100", "--format", fmt]},
         ])
+    # The failure branches: a failed skill, an unmet goal after a clean run,
+    # and a plan-task whose goal does not hold.
+    bring_apple = "{fixtures}/scenarios/bring_apple"
+    for fmt in ("json", "human"):
+        out.extend([
+            {"argv": ["sim", "run", ARENA, f"{bring_apple}/world.json", "{plan}",
+                      "--format", fmt],
+             "plan": ["grasp(apple)"]},
+            {"argv": ["sim", "run", ARENA, f"{bring_apple}/world.json", "{plan}",
+                      "--goal", "deliver(apple)", "--format", fmt],
+             "plan": ["done"]},
+            {"argv": ["plan-task", "--config", f"{bring_apple}/config.json",
+                      "--goal", "deliver(milk)", "--format", fmt]},
+        ])
     return out
 
 
