@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 from typing import Optional
 
 from .errors import NoPath, ParseError, PlanTooLong, ScorerFailure, SemplanError
-from .jsondoc import check_object, load_object, parse_point
+from .jsondoc import check_object, dump, load_object, parse_point, point_doc
 from .nav import plan_path
 from .scorer import LlmScorer, ScriptedScorer, load_scenario
-from .semantic_map import _point_doc, load_map, map_warnings, semantic_location
+from .semantic_map import load_map, map_warnings, semantic_location
 from .sim import check_goal, load_world, run_plan
 from .skills import (
     DEFAULT_MAX_STEPS,
@@ -41,7 +40,7 @@ _ESCAPE_LINE_BREAKS = str.maketrans(
 
 def _emit(doc: dict, human_lines, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(dump(doc))
     else:
         for line in human_lines:
             print(line)
@@ -101,7 +100,7 @@ def _parse_goal(text: str):
 def _path_doc(path) -> dict:
     waypoints = []
     for node in path.waypoints:
-        entry = {"kind": node.kind, "position": _point_doc(node.anchor)}
+        entry = {"kind": node.kind, "position": point_doc(node.anchor)}
         if node.door_name is not None:
             entry["door"] = node.door_name
         waypoints.append(entry)
@@ -191,8 +190,8 @@ def _answer_oracle(answers, interactive: bool):
 
 def _world_doc(world) -> dict:
     return {
-        "robot": _point_doc(world.robot),
-        "operator": _point_doc(world.operator),
+        "robot": point_doc(world.robot),
+        "operator": point_doc(world.operator),
         "held": world.held,
         "placements": dict(sorted(world.placements.items())),
         "found": sorted(world.found),
@@ -210,10 +209,19 @@ def _exec_doc(exec_trace) -> dict:
     }
 
 
-def _plan_doc(command, trace, exec_trace, goal_ok: Optional[bool]) -> dict:
+def _report(exec_trace, goal_ok: Optional[bool], fields: dict, lines, fmt: str) -> int:
+    """Emit a plan run: status, fields, execution, goal; 1 on a failed skill or unmet goal."""
+    ok = exec_trace.all_ok()
+    doc = {"status": "ok" if ok else "failed", **fields, "execution": _exec_doc(exec_trace)}
+    if goal_ok is not None:
+        doc["goal_satisfied"] = goal_ok
+    _emit(doc, lines, fmt)
+    return 0 if ok and goal_ok is not False else 1
+
+
+def _plan_fields(command, trace) -> dict:
     texts = {c: c.to_text() for c in set().union(*trace.step_scores)}
-    doc = {
-        "status": "ok" if exec_trace.all_ok() else "failed",
+    return {
         "command": {
             "raw": command.raw,
             "resolved": command.resolved,
@@ -227,11 +235,7 @@ def _plan_doc(command, trace, exec_trace, goal_ok: Optional[bool]) -> dict:
             }
             for skill, scores in zip(trace.steps, trace.step_scores)
         ],
-        "execution": _exec_doc(exec_trace),
     }
-    if goal_ok is not None:
-        doc["goal_satisfied"] = goal_ok
-    return doc
 
 
 def _plan_lines(command, trace, exec_trace) -> list:
@@ -263,14 +267,8 @@ def cmd_plan_task(args) -> int:
     trace = plan_task(command, scorer, universe, max_steps=config["max_steps"])
     exec_trace = run_plan(smap, world, trace.steps)
     goal_ok = check_goal(exec_trace.final, args.goal) if args.goal else None
-    _emit(
-        _plan_doc(command, trace, exec_trace, goal_ok),
-        _plan_lines(command, trace, exec_trace),
-        fmt,
-    )
-    if not exec_trace.all_ok() or goal_ok is False:
-        return 1
-    return 0
+    lines = _plan_lines(command, trace, exec_trace)
+    return _report(exec_trace, goal_ok, _plan_fields(command, trace), lines, fmt)
 
 
 def _exec_lines(exec_trace, goal_ok: Optional[bool]) -> list:
@@ -293,16 +291,7 @@ def cmd_sim_run(args) -> int:
             plan.append(parse_skill(line))
     exec_trace = run_plan(smap, world, plan)
     goal_ok = check_goal(exec_trace.final, args.goal) if args.goal else None
-    doc = {
-        "status": "ok" if exec_trace.all_ok() else "failed",
-        "execution": _exec_doc(exec_trace),
-    }
-    if goal_ok is not None:
-        doc["goal_satisfied"] = goal_ok
-    _emit(doc, _exec_lines(exec_trace, goal_ok), args.format)
-    if not exec_trace.all_ok() or goal_ok is False:
-        return 1
-    return 0
+    return _report(exec_trace, goal_ok, {}, _exec_lines(exec_trace, goal_ok), args.format)
 
 
 @functools.cache

@@ -222,17 +222,16 @@ def centroid(poly: Polygon2) -> Point2:
     Raises DegeneratePolygon when the area is below MIN_AREA, or when the
     coordinates are so large that the area or the centroid overflows.
     """
-    area2 = _signed_area2(poly.vertices)
+    area2 = cx = cy = 0.0
+    for a, b in poly.edges():  # area2 sums as _signed_area2 does, in the same order
+        w = a.x * b.y - a.y * b.x
+        area2 += w
+        cx += (a.x + b.x) * w
+        cy += (a.y + b.y) * w
     if not math.isfinite(area2):
         raise DegeneratePolygon("area overflows a float")
     if abs(area2) / 2.0 < MIN_AREA:
         raise DegeneratePolygon(f"area {abs(area2) / 2.0} below {MIN_AREA}")
-    cx = 0.0
-    cy = 0.0
-    for a, b in poly.edges():
-        w = a.x * b.y - b.x * a.y
-        cx += (a.x + b.x) * w
-        cy += (a.y + b.y) * w
     factor = 1.0 / (3.0 * area2)
     x, y = cx * factor, cy * factor
     if not (math.isfinite(x) and math.isfinite(y)):

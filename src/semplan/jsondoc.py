@@ -1,25 +1,25 @@
-"""Reading input documents: one JSON object per file, finite numbers only.
+"""JSON documents both ways: one object per file in, canonical text out.
 
 Maps, worlds, score tables and scenario configs are each one JSON object
-with a fixed set of keys, and points arrive from those documents or from
-argv. All of them are read here, so every malformed input surfaces as a
-ParseError (wrong shape) or a ValidationError (a number that is not a
-finite float), both of which the CLI reports with exit code 2.
+with a fixed set of keys, read here from text; points come from those or
+from argv. A malformed input raises ParseError (wrong shape) or
+ValidationError (a number that is not a finite float); the CLI exits 2 on
+both. dump writes every document (a saved map, --format json) with keys in
+insertion order; cli._world_doc, not load_world, sorts a world's placements.
 """
 
 from __future__ import annotations
 
 import json
 from math import inf, isfinite
-from typing import IO, Collection, Union
+from typing import Collection
 
 from .errors import ParseError, ValidationError
 from .geometry import Point2
 
 
-def load_object(document: Union[str, IO[str]], allowed_keys: Collection[str], label: str) -> dict:
-    """Parse JSON text or a readable stream holding one object with only allowed keys."""
-    text = document if isinstance(document, str) else document.read()
+def load_object(text: str, allowed_keys: Collection[str], label: str) -> dict:
+    """Parse JSON text holding one object with only allowed keys."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -27,6 +27,11 @@ def load_object(document: Union[str, IO[str]], allowed_keys: Collection[str], la
         # interpreter's digit limit; RecursionError, nesting too deep.
         raise ParseError(f"{label} is not valid JSON: {exc}") from None
     return check_object(doc, allowed_keys, label)
+
+
+def dump(doc) -> str:
+    """The canonical text of a document: two-space indent, one trailing newline."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def check_object(value, allowed_keys: Collection[str], label: str, required_keys=()) -> dict:
@@ -64,3 +69,8 @@ def parse_point(raw, context: str) -> Point2:
     if not isinstance(raw, list) or len(raw) != 2:
         raise ParseError(f"{context}: expected [x, y]")
     return Point2(finite(raw[0], context), finite(raw[1], context))
+
+
+def point_doc(p: Point2) -> list[float]:
+    """The [x, y] pair of a Point2; parse_point's inverse."""
+    return [p.x, p.y]

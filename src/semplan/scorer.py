@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from collections import namedtuple
-from typing import IO, NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import ConfigMissing, ParseError, ScorerFailure, ValidationError
 from .jsondoc import check_object, finite, load_object
@@ -26,6 +26,8 @@ ENDPOINT_VAR = "SEMPLAN_LLM_ENDPOINT"
 KEY_VAR = "SEMPLAN_LLM_KEY"
 MODEL_VAR = "SEMPLAN_LLM_MODEL"
 DEFAULT_MODEL = "text-davinci-003"
+# Completions requests in flight at once for one scoring step.
+MAX_CONCURRENCY = 4
 
 
 class ScoreRequest(namedtuple("ScoreRequest", "command history candidates")):
@@ -108,13 +110,13 @@ def skill_key(text: str) -> tuple:
     return (sys.intern(text), ())
 
 
-def load_scenario(source: Union[str, IO]) -> tuple[str, tuple]:
+def load_scenario(text: str) -> tuple[str, tuple]:
     """The (command, rows) pair of a scripted scenario; rows are indexed by history length.
 
     Each row maps a skill's (name, args) pair, which hashes and compares
     as the equal SkillInstance, to its score.
     """
-    doc = load_object(source, ("command", "rows"), "scenario")
+    doc = load_object(text, ("command", "rows"), "scenario")
     command = doc.get("command")
     rows_raw = doc.get("rows")
     if not isinstance(command, str) or not isinstance(rows_raw, list):
@@ -176,7 +178,6 @@ class LlmConfig(NamedTuple):
     key: str
     model: str = DEFAULT_MODEL
     backoff_base: float = 0.5
-    max_concurrency: int = 4
     timeout: float = 30.0
 
 
@@ -305,7 +306,7 @@ def llm_score(request: ScoreRequest, config: LlmConfig) -> ScoreResponse:
         payload = _post_with_retries(config, body)
         return _suffix_logprob_sum(payload, len(prefix))
 
-    workers = max(1, min(config.max_concurrency, len(request.candidates)))
+    workers = max(1, min(MAX_CONCURRENCY, len(request.candidates)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         sums = list(pool.map(logprob_sum, request.candidates))
     values = [math.exp(s) for s in sums]

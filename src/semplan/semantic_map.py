@@ -9,10 +9,9 @@ floats in shortest round-trip form.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from functools import cached_property
-from typing import IO, Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
     DegeneratePolygon,
@@ -32,7 +31,7 @@ from .geometry import (
     scanline_midpoint,
     validate_polygon,
 )
-from .jsondoc import check_object, load_object, parse_point
+from .jsondoc import check_object, dump, load_object, parse_point, point_doc
 
 # The move_to target that means the person, never a room or furniture name.
 OPERATOR = "operator"
@@ -254,9 +253,9 @@ def _parse_entries(doc: dict, key: str, required: tuple, optional: tuple = ()):
         yield entry["name"], entry
 
 
-def load_map(document: Union[str, IO[str]]) -> SemanticMap:
-    """Parse and validate a map document (JSON text or a readable stream)."""
-    doc = load_object(document, ("rooms", "furniture", "doors"), "map")
+def load_map(text: str) -> SemanticMap:
+    """Parse and validate a map document from its JSON text."""
+    doc = load_object(text, ("rooms", "furniture", "doors"), "map")
     rooms = [
         Room(name, _parse_contour(entry["contour"], name))
         for name, entry in _parse_entries(doc, "rooms", ("name", "contour"))
@@ -292,12 +291,8 @@ def load_map(document: Union[str, IO[str]]) -> SemanticMap:
     return make_map(rooms, furniture, doors)
 
 
-def _point_doc(p: Point2) -> list[float]:
-    return [p.x, p.y]
-
-
 def _contour_doc(poly: Polygon2) -> list[list[float]]:
-    return [_point_doc(v) for v in poly.vertices]
+    return [point_doc(v) for v in poly.vertices]
 
 
 def save_map(smap: SemanticMap) -> str:
@@ -311,14 +306,14 @@ def save_map(smap: SemanticMap) -> str:
         "doors": [
             {
                 "name": d.name,
-                "position": _point_doc(d.position),
+                "position": point_doc(d.position),
                 "connects": list(d.connects),
                 "passable": d.passable,
             }
             for d in smap.doors
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return dump(doc)
 
 
 def room_of(smap: SemanticMap, p: Point2) -> Optional[str]:

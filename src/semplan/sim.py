@@ -12,13 +12,14 @@ by hand must keep it too.
 
 run_plan locates the robot once and carries its room through the fold: only
 a move changes it, to the target's room. A place's anchor and that anchor's
-room are computed once per map (SemanticMap.locate).
+room are computed once per map (SemanticMap.locate). Placements keep the
+world file's order, place appends, and only the CLI's report sorts them.
 """
 
 from __future__ import annotations
 
 import re
-from typing import IO, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .errors import InvalidGoalSpec, ParseError, UnknownSkill, ValidationError
 from .geometry import Point2, euclidean
@@ -70,9 +71,9 @@ class ExecTrace(NamedTuple):
         return all(outcome.ok for _, outcome in self.steps)
 
 
-def load_world(smap: SemanticMap, source: Union[str, IO]) -> WorldState:
+def load_world(smap: SemanticMap, text: str) -> WorldState:
     """Parse a world fixture: {objects: {name: furniture}, robot, operator}."""
-    doc = load_object(source, ("objects", "robot", "operator"), "world")
+    doc = load_object(text, ("objects", "robot", "operator"), "world")
     objects = doc.get("objects", {})
     if not isinstance(objects, dict):
         raise ParseError("objects must be an object of name -> furniture")
@@ -87,7 +88,7 @@ def load_world(smap: SemanticMap, source: Union[str, IO]) -> WorldState:
         poses[key] = parse_point(doc.get(key), key)
         if room_of(smap, poses[key]) is None:
             raise ValidationError(key, "outside every room")
-    return WorldState(placements=dict(sorted(objects.items())), **poses)
+    return WorldState(placements=objects, **poses)
 
 
 def _go_to(smap: SemanticMap, world: WorldState, here, target: Point2, there):
@@ -142,9 +143,7 @@ def _apply(smap: SemanticMap, world: WorldState, skill: SkillInstance, here: Opt
             return world, SkillOutcome.failed(UNKNOWN_LOCATION), here
         if furniture.room != here:
             return world, SkillOutcome.failed(NOT_IN_ROOM), here
-        placements = dict(
-            sorted(list(world.placements.items()) + [(world.held, furniture.name)])
-        )
+        placements = {**world.placements, world.held: furniture.name}
         return WorldState(placements, world.robot, world.operator, None, world.found,
                           world.delivered), _SUCCESS, here
 

@@ -54,9 +54,8 @@ _DETERMINERS = frozenset(
 
 # Function words and common command verbs excluded when object nouns are
 # extracted from a resolved command.
-_STOPWORDS = frozenset(
+_STOPWORDS = _DETERMINERS | AMBIGUOUS_VOCABULARY | frozenset(
     {
-        "the", "a", "an", "this", "that", "these", "those", "some", "any",
         "me", "my", "your", "you", "i", "we", "us", "him", "her", "his",
         "hers", "their", "theirs", "its", "please", "and", "or", "then",
         "to", "on", "in", "at", "from", "into", "onto", "with", "for",
@@ -64,8 +63,7 @@ _STOPWORDS = frozenset(
         "bring", "put", "take", "go", "move", "find", "get", "give",
         "fetch", "grab", "carry", "deliver", "hand", "pick", "place",
         "tell", "say", "answer", "follow", "come", "look", "search",
-        "person", "what", "which", "who", "where", "is", "are", "was",
-        "be", "it", "them", "object", "thing", "something", "one",
+        "person", "what", "which", "who", "where", "is", "are", "was", "be",
     }
 )
 
@@ -118,17 +116,11 @@ def parse_skill(text: str) -> SkillInstance:
         raise ParseError(str(err)) from err
 
 
-class Clarification(namedtuple("Clarification", "question slot")):
+class Clarification(NamedTuple):
     """A question asked to pin down one ambiguous token."""
 
-    __slots__ = ()
-
-    def __new__(cls, question: str, slot: str):
-        if not question:
-            raise ValueError("clarification question must be non-empty")
-        return tuple.__new__(cls, (question, slot))
-
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
+    question: str
+    slot: str
 
 
 class Command(NamedTuple):
@@ -143,9 +135,6 @@ class PlanTrace(NamedTuple):
     steps: tuple[SkillInstance, ...] = ()
     step_scores: tuple[dict, ...] = ()
     metadata: tuple[tuple[str, str], ...] = ()
-
-    def completed(self) -> bool:
-        return bool(self.steps) and self.steps[-1].name == "done"
 
 
 AnswerOracle = Callable[[Clarification], Optional[str]]

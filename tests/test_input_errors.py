@@ -203,7 +203,7 @@ class TestJsondoc:
     def test_load_object_rejects_unknown_keys(self):
         with pytest.raises(ParseError):
             load_object('{"a": 1, "b": 2}', ("a",), "doc")
-        assert load_object(io.StringIO('{"a": 1}'), ("a",), "doc") == {"a": 1}
+        assert load_object('{"a": 1}', ("a",), "doc") == {"a": 1}
 
     @pytest.mark.parametrize("value", [True, "1", None, [1]])
     def test_finite_rejects_non_numbers(self, value):

@@ -538,7 +538,7 @@ class TestLlmScore:
     def test_concurrency_capped(self):
         texts = [f"find_obj(x{i})" for i in range(8)]
         with MockLlmServer({t: [-1.0] for t in texts}, handler_delay=0.05) as server:
-            llm_score(request_for(*texts), config_for(server, max_concurrency=4))
+            llm_score(request_for(*texts), config_for(server))
             assert 2 <= server.max_in_flight <= 4
 
     def test_scorer_metadata_names_template(self):

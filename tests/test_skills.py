@@ -526,7 +526,6 @@ class TestPlanTask:
             "handover",
             "done",
         ]
-        assert trace.completed()
         assert check_rule_compliance([(s.name, s.args) for s in trace.steps]) == []
 
     def test_never_done_hits_cap(self, golden_map):
