@@ -378,6 +378,26 @@ class TestSimRun:
         assert rc == 1
         assert "Failed(NotVisible)" in capsys.readouterr().out
 
+    def test_world_object_order_does_not_reach_the_output(self, fixtures_dir, tmp_path, capsys):
+        manifest = json.loads((fixtures_dir / "scenarios" / "manifest.json").read_text())
+        swap = next(e for e in manifest if e["name"] == "swap_and_deliver")
+        plan = self.write_plan(tmp_path, swap["expected_steps"])
+        objects = {"milk": "shelf", "cup": "kitchen_table", "banana": "shelf",
+                   "apple": "kitchen_table"}
+        outputs = []
+        for order in (objects, dict(sorted(objects.items()))):
+            world = tmp_path / "world.json"
+            world.write_text(json.dumps({"objects": order, "robot": [1, 5], "operator": [9, 3]}))
+            argv = ["sim", "run", maps(fixtures_dir, "golden_arena.json"), str(world), plan,
+                    "--goal", "deliver(milk)", "--format", "json"]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        placements = json.loads(outputs[0])["execution"]["final"]["placements"]
+        assert list(placements.items()) == [
+            ("apple", "shelf"), ("banana", "shelf"), ("cup", "kitchen_table")
+        ]
+
     def test_malformed_plan_line(self, fixtures_dir, tmp_path):
         plan = self.write_plan(tmp_path, ["grasp()"])
         rc = main(

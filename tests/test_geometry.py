@@ -3,10 +3,13 @@ import pickle
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semplan.errors import DegeneratePolygon, InvalidPolygon
 from semplan.geometry import (
     BOUNDARY_EPS,
+    MIN_AREA,
     Containment,
     Point2,
     centroid,
@@ -221,7 +224,57 @@ class TestPointInPolygonOneWalk:
                 self.check(v, poly)
 
 
+def two_walk_centroid(vertices):
+    """centroid's outcome from two walks, the area and then the moments.
+
+    The reference for the one-walk centroid: the float.hex pair of the
+    result, or the DegeneratePolygon message.
+    """
+    n = len(vertices)
+    area2 = 0.0
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        area2 += a.x * b.y - a.y * b.x
+    if not math.isfinite(area2):
+        return "area overflows a float"
+    if abs(area2) / 2.0 < MIN_AREA:
+        return f"area {abs(area2) / 2.0} below {MIN_AREA}"
+    cx = cy = 0.0
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        w = a.x * b.y - b.x * a.y
+        cx += (a.x + b.x) * w
+        cy += (a.y + b.y) * w
+    factor = 1.0 / (3.0 * area2)
+    x, y = cx * factor, cy * factor
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return "centroid overflows a float"
+    return x.hex(), y.hex()
+
+
 class TestCentroid:
+    # Scales by 2**k around each outcome's threshold for these polygons: the
+    # area below MIN_AREA, a plain centroid, the moments overflowing, and the
+    # area overflowing (coordinates near 1e154).
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.one_of(st.integers(-24, -19), st.integers(-4, 4),
+                     st.integers(336, 342), st.integers(508, 514)))
+    @example(0, -30)
+    @example(0, 0)
+    @example(0, 340)
+    @example(0, 512)
+    def test_one_walk_equals_two_walks_bitwise(self, seed, k):
+        raw, _ = random_simple_polygon(random.Random(seed))
+        poly = validate_polygon([(x * 2.0**k, y * 2.0**k) for x, y in raw])
+        try:
+            c = centroid(poly)
+        except DegeneratePolygon as exc:
+            outcome = str(exc)
+        else:
+            outcome = c.x.hex(), c.y.hex()
+        assert outcome == two_walk_centroid(poly.vertices)
+
     def test_unit_square(self):
         c = centroid(UNIT_SQUARE)
         assert (c.x, c.y) == (0.5, 0.5)

@@ -14,12 +14,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semplan.cli import main
 from semplan.errors import ParseError, ValidationError
-from semplan.jsondoc import finite, load_object, parse_point
+from semplan.jsondoc import dump, finite, load_object, parse_point, point_doc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_MAP = FIXTURES / "maps" / "golden_arena.json"
@@ -221,6 +221,15 @@ class TestJsondoc:
         assert parse_point([1, 2.5], "p").y == 2.5
         with pytest.raises(ParseError):
             parse_point([1, 2, 3], "p")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0, -0.0)
+    def test_point_doc_inverts_parse_point(self, x, y):
+        doc = point_doc(parse_point([x, y], "p"))
+        assert [v.hex() for v in doc] == [x.hex(), y.hex()]
+        assert [v.hex() for v in json.loads(dump(doc))] == [x.hex(), y.hex()]
 
 
 LITERALS = (

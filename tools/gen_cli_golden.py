@@ -19,6 +19,7 @@ import tempfile
 from pathlib import Path
 
 from semplan.cli import main as cli_main
+from semplan.jsondoc import dump
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -94,7 +95,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         for case in cases():
             recorded.append({**case, **run(case, FIXTURES, Path(scratch))})
-    OUT.write_text(json.dumps(recorded, indent=2) + "\n")
+    OUT.write_text(dump(recorded))
     print(f"wrote {len(recorded)} cases to {OUT}")
     return 0
 

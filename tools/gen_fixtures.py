@@ -11,10 +11,10 @@ Run from the repository root:  python3 tools/gen_fixtures.py
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
+from semplan.jsondoc import dump as dump_text
 from semplan.scorer import ScriptedScorer, load_scenario
 from semplan.semantic_map import load_map
 from semplan.sim import check_goal, load_world, run_plan
@@ -178,7 +178,7 @@ STALL_SPEC = {
 
 def dump(path: Path, doc) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(dump_text(doc))
 
 
 def build_rows(universe, intended):
