@@ -96,25 +96,31 @@ def normalize(response: ScoreResponse) -> dict:
 
 @functools.lru_cache(maxsize=1024)
 def skill_key(text: str) -> tuple:
-    """The (name, args) pair whose SkillInstance.to_text() is exactly text.
+    """The skill whose SkillInstance.to_text() is exactly text.
 
     No skill takes more than one argument, so everything between the first
     "(" and a closing ")" is that argument, commas and spaces included; text
     with no such parentheses is a name alone. Text that no skill prints
-    gives a pair that no skill equals. Cached, so that rows and scenarios
-    share one immutable pair per text instead of allocating their own.
+    gives a plain (name, args) pair that no skill equals. Cached, so that
+    score rows and grounded candidates (skills.ground_candidates) share one
+    immutable skill per text and a row lookup matches it by identity.
     """
+    from .skills import SKILL_ARITIES, SkillInstance  # skills imports this module
+
     name, paren, rest = text.partition("(")
     if paren and rest.endswith(")"):
-        return (sys.intern(name), (sys.intern(rest[:-1]),))
-    return (sys.intern(text), ())
+        key = (sys.intern(name), (sys.intern(rest[:-1]),))
+    else:
+        key = (sys.intern(text), ())
+    if SKILL_ARITIES.get(key[0]) == len(key[1]):
+        return tuple.__new__(SkillInstance, key)
+    return key
 
 
 def load_scenario(text: str) -> tuple[str, tuple]:
     """The (command, rows) pair of a scripted scenario; rows are indexed by history length.
 
-    Each row maps a skill's (name, args) pair, which hashes and compares
-    as the equal SkillInstance, to its score.
+    Each row maps the skill_key of each scored text to its score.
     """
     doc = load_object(text, ("command", "rows"), "scenario")
     command = doc.get("command")

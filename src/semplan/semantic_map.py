@@ -9,6 +9,7 @@ floats in shortest round-trip form.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Union
@@ -89,6 +90,11 @@ class SemanticMap(namedtuple("SemanticMap", "rooms furniture doors")):
         return {**self.index.rooms, **self.index.furniture}
 
     @cached_property
+    def place_words(self) -> frozenset:
+        """The lowered, interned place names and OPERATOR: words that name no object."""
+        return frozenset([OPERATOR, *(sys.intern(name.lower()) for name in self.places)])
+
+    @cached_property
     def passable_doors(self) -> dict:
         """Room name -> names of the passable doors into that room; built on first use."""
         by_room = {r.name: [] for r in self.rooms}
@@ -128,6 +134,22 @@ class SemanticMap(namedtuple("SemanticMap", "rooms furniture doors")):
             if d.passable:
                 parent[find(d.connects[0])] = find(d.connects[1])
         return {room: find(room) for room in parent}
+
+    @cached_property
+    def derived(self) -> dict:
+        """build -> build(self), for each table derive has built for this map."""
+        return {}
+
+    def derive(self, build):
+        """build(self), built on this map's first call and then kept like a cached property.
+
+        For tables that another module derives from the map and this module
+        cannot build without importing it: skills' grounded candidates.
+        """
+        table = self.derived.get(build)
+        if table is None:
+            table = self.derived[build] = build(self)
+        return table
 
     @cached_property
     def located(self) -> dict:
@@ -250,11 +272,16 @@ def _parse_entries(doc: dict, key: str, required: tuple, optional: tuple = ()):
         check_object(entry, required + optional, f"{key}[{i}]", required)
         if not isinstance(entry["name"], str):
             raise ParseError(f"{key}[{i}]: name must be a string")
-        yield entry["name"], entry
+        yield sys.intern(entry["name"]), entry
 
 
 def load_map(text: str) -> SemanticMap:
-    """Parse and validate a map document from its JSON text."""
+    """Parse and validate a map document from its JSON text.
+
+    Every name is interned, so a furniture's room and a door's connects are
+    the very strings of the rooms they name, and equal names in other maps
+    and in score tables (scorer.skill_key) are one object.
+    """
     doc = load_object(text, ("rooms", "furniture", "doors"), "map")
     rooms = [
         Room(name, _parse_contour(entry["contour"], name))
@@ -265,7 +292,8 @@ def load_map(text: str) -> SemanticMap:
     for name, entry in _parse_entries(doc, "furniture", ("name", "room", "contour")):
         if not isinstance(entry["room"], str):
             raise ParseError(f"furniture {name}: room must be a string")
-        furniture.append(Furniture(name, entry["room"], _parse_contour(entry["contour"], name)))
+        room = sys.intern(entry["room"])
+        furniture.append(Furniture(name, room, _parse_contour(entry["contour"], name)))
 
     doors = []
     door_keys = ("name", "position", "connects")
@@ -283,7 +311,7 @@ def load_map(text: str) -> SemanticMap:
             Door(
                 name,
                 parse_point(entry["position"], f"door {name} position"),
-                (connects[0], connects[1]),
+                (sys.intern(connects[0]), sys.intern(connects[1])),
                 passable,
             )
         )

@@ -27,7 +27,7 @@ from .errors import (
     UnknownSkill,
     UnresolvedAmbiguity,
 )
-from .scorer import ScoreRequest, ScoreResponse, normalize
+from .scorer import ScoreRequest, ScoreResponse, normalize, skill_key
 from .semantic_map import OPERATOR, SemanticMap
 
 SKILL_ARITIES = {
@@ -190,42 +190,51 @@ def resolve_ambiguity(raw: str, oracle: AnswerOracle) -> Command:
 
 def extract_objects(smap: SemanticMap, resolved: str) -> tuple[str, ...]:
     """Object nouns: command words minus function words and location names."""
-    location_names = {name.lower() for name in smap.places}
-    location_names.add(OPERATOR)
+    place_words = smap.place_words
     seen = []
     for match in _WORD.finditer(resolved):
         word = match.group(0).lower()
-        if word in _STOPWORDS or word in location_names:
+        if word in _STOPWORDS or word in place_words:
             continue
         if word not in seen:
             seen.append(word)
     return tuple(sorted(seen))
 
 
-_DONE = SkillInstance("done")
-_FOLLOW_PERSON = SkillInstance("follow_person")
-_HANDOVER = SkillInstance("handover")
+# One skill per text, shared with the score rows that skill_key keys.
+_DONE = skill_key("done")
+_FOLLOW_PERSON = skill_key("follow_person")
+_HANDOVER = skill_key("handover")
+
+
+def _grounded_tail(smap: SemanticMap) -> tuple[SkillInstance, ...]:
+    """move_to over the sorted places and OPERATOR, then place over the furniture.
+
+    Built once per map (SemanticMap.derive); furniture is stored sorted by name.
+    """
+    locations = sorted([*smap.places, OPERATOR])
+    return (
+        *[skill_key(f"move_to({loc})") for loc in locations],
+        *[skill_key(f"place({f.name})") for f in smap.furniture],
+    )
 
 
 def ground_candidates(smap: SemanticMap, command: Command) -> tuple[SkillInstance, ...]:
     """Every skill over map places and command objects, sorted by (name, args).
 
-    Names are emitted in sorted order, each over its sorted arguments.
-    Each name and arity is fixed here, so the instances skip __new__'s check.
+    Names are emitted in sorted order, each over its sorted arguments. Each
+    skill is skill_key's for its text, and the move_to/place tail is the
+    map's own, so equal candidates of every plan are one object.
     """
     objects = extract_objects(smap, command.resolved)
-    locations = sorted([*smap.places, OPERATOR])
-    furniture = sorted([f.name for f in smap.furniture])
-    new = tuple.__new__
     return (
-        *[new(SkillInstance, ("answer", (obj,))) for obj in objects],
+        *[skill_key(f"answer({obj})") for obj in objects],
         _DONE,
-        *[new(SkillInstance, ("find_obj", (obj,))) for obj in objects],
+        *[skill_key(f"find_obj({obj})") for obj in objects],
         _FOLLOW_PERSON,
-        *[new(SkillInstance, ("grasp", (obj,))) for obj in objects],
+        *[skill_key(f"grasp({obj})") for obj in objects],
         _HANDOVER,
-        *[new(SkillInstance, ("move_to", (loc,))) for loc in locations],
-        *[new(SkillInstance, ("place", (name,))) for name in furniture],
+        *smap.derive(_grounded_tail),
     )
 
 
@@ -248,39 +257,52 @@ def history_hints(history: Iterable[SkillInstance]):
     return held, frozenset(found)
 
 
+def _name_runs(skill_set: Iterable[SkillInstance]) -> tuple:
+    """(name, run) for each run of equal names in skill_set, each run a tuple."""
+    return tuple((name, tuple(run)) for name, run in groupby(skill_set, _NAME))
+
+
+def _admissible(runs: tuple, previous: Optional[str], held: Optional[str], found) -> tuple:
+    """The skills of runs that survive rules R1 to R4, in order.
+
+    Every rule but R2 depends on the name alone, so each run is kept or
+    dropped whole; only grasp's run is filtered skill by skill.
+    """
+    out = []
+    for name, run in runs:
+        if name == "done":
+            out += run
+        elif name == previous:
+            continue
+        elif name == "grasp":
+            if held is None:
+                out += [skill for skill in run if skill.args[0] in found]
+        elif name in ("place", "handover"):
+            if held is not None:
+                out += run
+        elif name != "find_obj" or held is None:
+            out += run
+    return tuple(out)
+
+
 def admissible_skills(
     skill_set: Iterable[SkillInstance],
     history: tuple[SkillInstance, ...],
     held: Optional[str],
     found: frozenset,
 ) -> tuple[SkillInstance, ...]:
-    """Candidates surviving rules R1 to R4, in skill_set order.
-
-    Every rule but R2 depends on the name alone, so each run of equal
-    names is kept or dropped whole.
-    """
+    """Candidates surviving rules R1 to R4, in skill_set order."""
     previous = history[-1].name if history else None
-    out = []
-    for name, run in groupby(skill_set, _NAME):
-        if name == "done":
-            out.extend(run)
-        elif name == previous:
-            continue
-        elif name == "grasp":
-            if held is None:
-                out.extend(skill for skill in run if skill.args[0] in found)
-        elif name in ("place", "handover"):
-            if held is not None:
-                out.extend(run)
-        elif name != "find_obj" or held is None:
-            out.extend(run)
-    return tuple(out)
+    return _admissible(_name_runs(skill_set), previous, held, found)
 
 
-def _step(command: Command, history: tuple, scorer, skill_set):
-    """The argmax admissible skill after history, and the normalized scores."""
+def _step(command: Command, history: tuple, scorer, runs: tuple):
+    """The argmax admissible skill after history, and the normalized scores.
+
+    runs is _name_runs of the skill set.
+    """
     held, found = history_hints(history)
-    candidates = admissible_skills(skill_set, history, held, found)
+    candidates = _admissible(runs, history[-1].name if history else None, held, found)
     assert candidates, "done keeps the candidate set nonempty"
     response = scorer.score(ScoreRequest(command.resolved, history, candidates))
     scores = response.scores
@@ -296,7 +318,7 @@ def _step(command: Command, history: tuple, scorer, skill_set):
 
 def plan_next(command: Command, trace: PlanTrace, scorer, skill_set) -> SkillInstance:
     """Argmax of the normalized admissible scores; a tie goes to the first in skill_set."""
-    return _step(command, trace.steps, scorer, skill_set)[0]
+    return _step(command, trace.steps, scorer, _name_runs(skill_set))[0]
 
 
 def _scorer_metadata(scorer) -> tuple[tuple[str, str], ...]:
@@ -315,14 +337,16 @@ def plan_task(
     """Append argmax skills until done is selected; cap at max_steps.
 
     Candidates keep skill_set order, and a tie goes to the first of them.
+    skill_set is split into name runs once per plan.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     metadata = _scorer_metadata(scorer)
+    runs = _name_runs(skill_set)
     steps: tuple[SkillInstance, ...] = ()
     step_scores = []
     for _ in range(max_steps):
-        skill, distribution = _step(command, steps, scorer, skill_set)
+        skill, distribution = _step(command, steps, scorer, runs)
         steps += (skill,)
         step_scores.append(distribution)
         if skill.name == "done":

@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py: the summary of canned result lines."""
+"""tools/bench_pairs.py: the summary of canned result lines, and the run order."""
 
 import json
 import sys
@@ -8,7 +8,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_pairs import result_of, summarize  # noqa: E402
+import bench_pairs  # noqa: E402
+from bench_pairs import combine, result_of, summarize  # noqa: E402
 
 METRICS = [{"name": "latency_ms.p50", "better": "lower"},
            {"name": "peak_rss_mb", "better": "lower"}]
@@ -60,3 +61,57 @@ def test_summary_keeps_workloads_apart_and_flags_failures():
     assert nav["latency_ms.p50"]["change_better_pairs"] == 0
     assert nav["peak_rss_mb"]["change_better_pairs"] == 1
     assert nav["latency_ms.p50"]["rel_change_pct"] == 25.0
+
+
+def test_combine_takes_each_metrics_median_and_keeps_every_line():
+    runs = [result_of(line(p50, rss, failed=f)) for p50, rss, f in
+            [(0.30, 41.0, 0), (0.50, 40.0, 2), (0.31, 42.0, 0)]]
+    side = combine(runs)
+    assert side["metrics"]["latency_ms.p50"] == {"value": 0.31, "unit": "ms"}
+    assert side["metrics"]["peak_rss_mb"] == {"value": 41.0, "unit": "MB"}
+    assert side["correct"] is True and side["failed"] == 2 and side["runs"] == runs
+    assert combine([runs[0]])["metrics"]["latency_ms.p50"]["value"] == 0.30
+    assert combine([runs[0], result_of(line(0.4, 40.0, correct=False))])["correct"] is False
+
+
+@pytest.mark.parametrize("procs", [1, 3])
+def test_main_alternates_sides_and_takes_the_median_of_the_processes(tmp_path, monkeypatch, procs):
+    spec = {"run_seconds": 7, "end_to_end": METRICS}
+    checkouts = {}
+    for side in ("parent", "change"):
+        checkouts[side] = tmp_path / side
+        checkouts[side].mkdir()
+        (checkouts[side] / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run_side(checkout, workload, seed, seconds):
+        side = checkout.name
+        calls.append((side, seed, seconds))
+        n = sum(c[:2] == (side, seed) for c in calls)  # this side's nth process for the seed
+        p50 = (1.0 if side == "parent" else 0.8) + 0.01 * n
+        return result_of(line(p50, 40.0))
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
+    out = tmp_path / "out.json"
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--workloads", "task-scripted",
+            "--pairs", "2", "--seed-base", "5", "--procs", str(procs), "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+
+    # Odd seed 5: the change first; even seed 6: the parent first; sides take turns.
+    assert calls == [("change", 5, 7), ("parent", 5, 7)] * procs + [("parent", 6, 7), ("change", 6, 7)] * procs
+    doc = json.loads(out.read_text())
+    assert [p["first"] for p in doc["pairs"]] == ["change", "parent"]
+    for p in doc["pairs"]:
+        assert len(p["parent"]["runs"]) == len(p["change"]["runs"]) == procs
+        median_n = (procs + 1) // 2
+        assert p["parent"]["metrics"]["latency_ms.p50"]["value"] == pytest.approx(1.0 + 0.01 * median_n)
+        assert p["change"]["metrics"]["latency_ms.p50"]["value"] == pytest.approx(0.8 + 0.01 * median_n)
+    summary = doc["summary"]["task-scripted"]
+    assert summary["pairs"] == 2 and summary["all_correct"] is True
+    assert summary["latency_ms.p50"]["change_better_pairs"] == 2
+
+
+def test_procs_below_one_is_refused(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workloads", "nav-grid", "--pairs", "1",
+                          "--seed-base", "1", "--procs", "0", "--out", str(tmp_path / "o.json")])

@@ -199,6 +199,43 @@ class TestRegressions:
         assert_input_error(["map", "validate", tmp_path / "map.json"])
 
 
+VALIDATE = ("map", "validate")
+
+
+class TestLoaderBranches:
+    """One malformed value per loader check: exit 2 and that check's one-line message."""
+
+    @pytest.mark.parametrize("name, path, literal, command, message", [
+        ("map", ("rooms", 0, "name"), '""', VALIDATE, "<unnamed room>: empty name"),
+        ("map", ("furniture", 0, "name"), '""', VALIDATE, "<unnamed furniture>: empty name"),
+        ("map", ("doors", 0, "name"), '""', VALIDATE, "<unnamed door>: empty name"),
+        ("map", ("furniture", 0, "room"), "5", VALIDATE, "furniture shelf: room must be a string"),
+        ("map", ("doors", 0, "connects"), '["kitchen"]', VALIDATE,
+         "door living_bedroom: connects must be [room, room]"),
+        ("map", ("doors", 0, "connects"), '["kitchen", 3]', VALIDATE,
+         "door living_bedroom: connects must be [room, room]"),
+        ("map", ("doors", 0, "connects"), '"kitchen"', VALIDATE,
+         "door living_bedroom: connects must be [room, room]"),
+        ("map", ("doors", 0, "passable"), '"yes"', VALIDATE,
+         "door living_bedroom: passable must be a boolean"),
+        ("map", ("doors", 0, "passable"), "1", VALIDATE,
+         "door living_bedroom: passable must be a boolean"),
+        ("world", ("objects", "apple"), "5", ("sim",), "malformed object placement: 'apple'"),
+        ("scores", ("rows", 0, "scores"), "{}", ("plan-task",),
+         "row 0 scores must be a nonempty object"),
+        ("scores", ("rows", 0, "scores"), "[1]", ("plan-task",),
+         "row 0 scores must be a nonempty object"),
+    ])
+    def test_exit_2_with_the_message(self, tmp_path, name, path, literal, command, message):
+        write_scenario(tmp_path, **{name: with_literal(name, path, literal)})
+        if command == VALIDATE:
+            argv = [*VALIDATE, tmp_path / "map.json"]
+        else:
+            argv = sim_run(tmp_path) if command == ("sim",) else plan_task(tmp_path)
+        assert_input_error(argv)
+        assert run(argv)[1] == f"error: {message}\n"
+
+
 class TestJsondoc:
     def test_load_object_rejects_unknown_keys(self):
         with pytest.raises(ParseError):

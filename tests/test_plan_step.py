@@ -27,6 +27,7 @@ from semplan.skills import (
     plan_next,
     plan_task,
 )
+from semplan.skills import _admissible, _name_runs
 
 from mapgen import random_grid_map
 
@@ -188,3 +189,47 @@ def test_admissible_skills_match_the_per_candidate_filter(case, rng):
         universe, history, held, found
     )
 
+
+
+class RecordingScorer:
+    """Passes each request to scorer and keeps it."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+        self.requests = []
+
+    def score(self, request):
+        self.requests.append(request)
+        return self.scorer.score(request)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planning_cases())
+def test_each_plan_step_scores_admissible_skills_of_its_history(case):
+    # plan_task splits the universe into name runs once per plan; every
+    # step's candidates must still be admissible_skills of that step's history.
+    smap, command, scorer, max_steps = case
+    universe = ground_candidates(smap, command)
+    recording = RecordingScorer(scorer)
+    plan_or_too_long(plan_task, command, recording, universe, max_steps)
+    assert recording.requests
+    for request in recording.requests:
+        held, found = history_hints(request.history)
+        assert request.candidates == admissible_skills(universe, request.history, held, found)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planning_cases(), st.randoms(use_true_random=False))
+def test_one_set_of_name_runs_serves_every_history(case, rng):
+    smap, command, _, _ = case
+    universe = list(ground_candidates(smap, command))
+    if rng.random() < 0.5:
+        rng.shuffle(universe)
+    runs = _name_runs(universe)
+    for _ in range(8):
+        history = tuple(rng.choice(universe) for _ in range(rng.randint(0, 6)))
+        held, found = history_hints(history)
+        previous = history[-1].name if history else None
+        got = _admissible(runs, previous, held, found)
+        assert got == admissible_skills(universe, history, held, found)
+        assert got == reference_admissible_skills(universe, history, held, found)

@@ -66,6 +66,19 @@ class TestLoadMap:
         assert err.value.entity == "twisted"
         assert "SelfIntersecting" in err.value.reason
 
+    def test_names_are_interned_and_shared(self, fixtures_dir):
+        text = (fixtures_dir / "maps" / "golden_arena.json").read_text()
+        smap, again = load_map(text), load_map(text)
+        rooms = smap.index.rooms
+        for d in smap.doors:
+            for name in d.connects:
+                assert name is rooms[name].name
+        for f in smap.furniture:
+            assert f.room is rooms[f.room].name
+        for group, other in zip(smap[:3], again[:3]):
+            for entity, twin in zip(group, other):
+                assert entity.name is twin.name
+
     def test_not_json(self):
         with pytest.raises(ParseError):
             load_map("not json at all {")

@@ -712,6 +712,22 @@ class TestPlaceMemo:
             assert run_plan(smap, world, plan).all_ok()
             assert len(calls) <= 1 + moves, calls
 
+    def test_room_of_calls_by_point_on_bring_apple(self, fixtures_dir, monkeypatch):
+        # One call for the robot at the start and one for the operator at
+        # move_to(operator): a plan that locates the operator once gains
+        # nothing from carrying the operator's room through run_plan.
+        smap, world, plan = bring_apple(fixtures_dir)
+        calls = Counter()
+
+        def counted(smap, p):
+            calls[p] += 1
+            return room_of(smap, p)
+
+        monkeypatch.setattr(sim, "room_of", counted)
+        assert world.robot != world.operator
+        assert run_plan(smap, world, plan).all_ok()
+        assert calls == {world.robot: 1, world.operator: 1}
+
     def test_load_and_copies_leave_it_unbuilt(self, fixtures_dir):
         smap, world, plan = bring_apple(fixtures_dir)
         assert "located" not in vars(smap)

@@ -1,4 +1,5 @@
 import json
+import operator
 import os
 import pickle
 import random
@@ -17,7 +18,7 @@ from semplan.errors import (
     UnknownSkill,
     UnresolvedAmbiguity,
 )
-from semplan.scorer import ScoreResponse
+from semplan.scorer import ScoreResponse, load_scenario
 from semplan.semantic_map import load_map, save_map
 from semplan.skills import (
     AMBIGUOUS_VOCABULARY,
@@ -370,6 +371,60 @@ class TestGrounding:
         assert [c for c in universe if c.name == "find_obj"] == [
             SkillInstance("find_obj", ("apple",))
         ]
+
+
+class TestSharedTables:
+    """Grounding reads per-map tables and skill_key's one skill per text."""
+
+    COMMAND = Command(raw="Bring me the apple", resolved="Bring me the apple and the Kitchen")
+
+    def test_equal_on_fresh_used_replaced_and_unpickled_maps(self, golden_map, fixtures_dir):
+        used = load_map((fixtures_dir / "maps" / "golden_arena.json").read_text())
+        expected = ground_candidates(used, self.COMMAND)
+        maps = (golden_map, used, used._replace(), pickle.loads(pickle.dumps(used)))
+        for smap in maps:
+            assert ground_candidates(smap, self.COMMAND) == expected
+        assert "kitchen" not in extract_objects(golden_map, self.COMMAND.resolved)
+
+    def test_a_repeat_call_returns_the_very_same_skills(self, golden_map):
+        first = ground_candidates(golden_map, self.COMMAND)
+        second = ground_candidates(golden_map, self.COMMAND)
+        assert len(first) == len(second) and all(map(operator.is_, first, second))
+        # The map's tail is the one copies and other maps share through skill_key.
+        copy = pickle.loads(pickle.dumps(golden_map))
+        assert all(map(operator.is_, ground_candidates(copy, self.COMMAND), first))
+
+    def test_score_rows_key_the_candidates_themselves(self, golden_map):
+        universe = ground_candidates(golden_map, self.COMMAND)
+        doc = {"command": "x", "rows": [{"history_length": 0,
+                                         "scores": {c.to_text(): 1.0 for c in universe}}]}
+        _, (row,) = load_scenario(json.dumps(doc))
+        assert all(map(operator.is_, row, universe))
+
+    def test_grounding_leaves_the_saved_and_pickled_bytes(self, fixtures_dir):
+        text = (fixtures_dir / "maps" / "golden_arena.json").read_text()
+        fresh, used = load_map(text), load_map(text)
+        ground_candidates(used, self.COMMAND)
+        assert {"place_words", "derived"} <= set(vars(used))
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert save_map(used) == save_map(fresh)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(used, protocol) == pickle.dumps(fresh, protocol)
+
+    def test_a_place_named_with_capitals_keeps_its_word_out(self, golden_map):
+        doc = json.loads(save_map(golden_map))
+        for entity in doc["rooms"] + doc["furniture"] + doc["doors"]:
+            if entity["name"] == "kitchen":
+                entity["name"] = "Kitchen"
+            if entity.get("room") == "kitchen":
+                entity["room"] = "Kitchen"
+            if "connects" in entity:
+                entity["connects"] = ["Kitchen" if r == "kitchen" else r for r in entity["connects"]]
+        smap = load_map(json.dumps(doc))
+        assert "Kitchen" in smap.places and "kitchen" not in smap.places
+        assert extract_objects(smap, "bring the kitchen apple from the KITCHEN") == ("apple",)
+        texts = [c.to_text() for c in ground_candidates(smap, self.COMMAND)]
+        assert "move_to(Kitchen)" in texts and "grasp(kitchen)" not in texts
 
 
 class TestHistoryHints:

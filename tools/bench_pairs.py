@@ -1,17 +1,19 @@
 """Run the benchmark on two checkouts in alternating pairs and summarize.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workloads task-scripted nav-grid \\
-        --pairs 10 --seed-base 101 --out BENCH_x.json
+        --pairs 10 --seed-base 101 --procs 1 --out BENCH_x.json
 
-Each side runs ``bench/run.py`` from its own checkout, one untraced run per
-workload, seed and side, as long as the parent's BENCHMARK.json
-``run_seconds``. Pair k uses seed SEED_BASE + k; an odd seed runs the change
-first, an even seed the parent first, so a slow spell on a shared machine
-does not always land on the same side. The output holds
-every result line and, per workload and end-to-end metric of the parent's
-BENCHMARK.json, the medians of both sides, the parent's interquartile
-range, the number of pairs the change won and the relative change of the
-medians. It is rewritten after every pair.
+Each side runs ``bench/run.py`` from its own checkout, PROCS untraced runs
+(processes) per workload, seed and side, each as long as the parent's
+BENCHMARK.json ``run_seconds``; a side's value in a pair is the median over
+its processes, so one process that runs slow throughout moves it less.
+Pair k uses seed SEED_BASE + k; an odd seed runs the change first, an even
+seed the parent first, and with several processes the sides take turns,
+so a slow spell on a shared machine does not always land on the same side.
+The output holds every result line and, per workload and end-to-end metric
+of the parent's BENCHMARK.json, the medians of both sides, the parent's
+interquartile range, the number of pairs the change won and the relative
+change of the medians. It is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -41,6 +43,19 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}\n"
                          f"{proc.stderr}")
     return result_of(proc.stdout)
+
+
+def combine(results: list) -> dict:
+    """One side of a pair from its processes' result lines: each metric's
+    median, correct only if every run was, the failures summed, and the
+    lines themselves under "runs"."""
+    metrics = {}
+    for name, first in results[0]["metrics"].items():
+        values = [r["metrics"][name]["value"] for r in results]
+        metrics[name] = {"value": statistics.median(values), "unit": first["unit"]}
+    return {"correct": all(r["correct"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "metrics": metrics, "runs": results}
 
 
 def _better(a: float, b: float, direction: str) -> bool:
@@ -87,8 +102,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed-base", type=int, required=True)
+    parser.add_argument("--procs", type=int, default=1,
+                        help="bench/run.py processes per side and pair (default 1)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.procs < 1:
+        parser.error("--procs must be at least 1")
 
     spec = json.loads((args.parent_dir / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -97,7 +116,8 @@ def main(argv=None) -> int:
         "command": f"python3 bench/run.py --workload W --seed N --seconds {seconds} --trace 0",
         "host": f"{platform.system()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
         "protocol": "alternating pairs: odd seeds run the change first, even seeds the "
-                    "parent first; each side in its own checkout",
+                    f"parent first; each side in its own checkout; {args.procs} process(es) "
+                    "per side and pair, taking turns, and a side's value is their median",
         "summary": {},
         "pairs": [],
     }
@@ -105,8 +125,11 @@ def main(argv=None) -> int:
         for k in range(args.pairs):
             seed = args.seed_base + k
             order = ("change", "parent") if seed % 2 else ("parent", "change")
-            results = {side: run_side(checkouts[side], workload, seed, seconds)
-                       for side in order}
+            runs = {side: [] for side in SIDES}
+            for _ in range(args.procs):
+                for side in order:
+                    runs[side].append(run_side(checkouts[side], workload, seed, seconds))
+            results = {side: combine(runs[side]) for side in SIDES}
             pair = {"workload": workload, "seed": seed, "first": order[0],
                     **{side: results[side] for side in SIDES}}
             doc["pairs"].append(pair)
