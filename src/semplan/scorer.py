@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from collections import namedtuple
+from operator import is_
 from typing import NamedTuple
 
 from .errors import ConfigMissing, ParseError, ScorerFailure, ValidationError
@@ -46,7 +47,10 @@ _NUMBER_TYPES = frozenset({int, float, bool})
 
 
 class ScoreResponse(namedtuple("ScoreResponse", "scores")):
-    """Raw nonnegative scores, keyed by candidate."""
+    """Raw nonnegative scores, keyed by candidate.
+
+    Read-only: a scripted response's scores are its scenario row itself.
+    """
 
     __slots__ = ()
 
@@ -153,6 +157,10 @@ class ScriptedScorer:
     missing candidate, an exhausted scenario, or a command mismatch all
     surface as ScorerFailure because they mean the fixture does not match
     the run.
+
+    A row whose keys are the request's candidates themselves, in order, is
+    returned as the response's scores without a copy. Rows and responses
+    are read-only.
     """
 
     def __init__(self, scenario: tuple[str, tuple]):
@@ -171,8 +179,12 @@ class ScriptedScorer:
         if step >= len(self.rows):
             raise ScorerFailure(f"scenario exhausted at history length {step}")
         table = self.rows[step]
+        candidates = request.candidates
+        if len(table) == len(candidates) and all(map(is_, table, candidates)):
+            # The same items in the same order as the subset below.
+            return ScoreResponse(table)
         try:
-            scores = {c: table[c] for c in request.candidates}
+            scores = {c: table[c] for c in candidates}
         except KeyError as err:
             missing = err.args[0].to_text()
             raise ScorerFailure(f"no scripted score for {missing} at step {step}") from None

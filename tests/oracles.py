@@ -218,3 +218,26 @@ def all_pairs_dijkstra(
                 best[other] = key
                 heapq.heappush(queue, (*key, other))
     return None
+
+
+def subset_scripted_score(scenario, request, failure, response):
+    """A scripted scorer's reply as a copy of the row's entries for the candidates.
+
+    The reference for scorer.ScriptedScorer.score, which returns a row whose
+    keys are the candidates themselves without copying it. scenario is a
+    (command, rows) pair; failure and response are the exception and the
+    response type to build, passed in so that this module imports nothing
+    from the package.
+    """
+    command, rows = scenario
+    if request.command != command:
+        raise failure(f"scenario scripted for {command!r}, got {request.command!r}")
+    step = len(request.history)
+    if step >= len(rows):
+        raise failure(f"scenario exhausted at history length {step}")
+    table = rows[step]
+    try:
+        scores = {c: table[c] for c in request.candidates}
+    except KeyError as err:
+        raise failure(f"no scripted score for {err.args[0].to_text()} at step {step}") from None
+    return response(scores)

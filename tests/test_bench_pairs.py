@@ -15,10 +15,10 @@ METRICS = [{"name": "latency_ms.p50", "better": "lower"},
            {"name": "peak_rss_mb", "better": "lower"}]
 
 
-def line(p50, rss, correct=True, failed=0):
+def line(p50, rss, correct=True, failed=0, ops=100):
     metrics = {"latency_ms.p50": {"value": p50, "unit": "ms"},
                "peak_rss_mb": {"value": rss, "unit": "MB"}}
-    result = {"correct": correct, "attempted": 100, "failed": failed, "metrics": metrics}
+    result = {"correct": correct, "attempted": ops, "failed": failed, "metrics": metrics}
     return 'info {"seed": 1}\n' + json.dumps(result) + "\n"
 
 
@@ -29,6 +29,14 @@ def pair(seed, parent, change, workload="task-scripted"):
 
 def test_result_of_reads_the_last_line():
     assert result_of(line(0.5, 40.0))["metrics"]["latency_ms.p50"]["value"] == 0.5
+
+
+def test_summary_gives_each_sides_median_ops():
+    ops = [(100, 150), (120, 130), (90, 200)]
+    pairs = [pair(s, line(0.5, 40.0, ops=p), line(0.4, 41.0, ops=c))
+             for s, (p, c) in enumerate(ops, 1)]
+    assert summarize(pairs, METRICS)["task-scripted"]["ops"] == {
+        "parent_median": 100, "change_median": 150}
 
 
 def test_summary_of_five_pairs():
@@ -64,9 +72,10 @@ def test_summary_keeps_workloads_apart_and_flags_failures():
 
 
 def test_combine_takes_each_metrics_median_and_keeps_every_line():
-    runs = [result_of(line(p50, rss, failed=f)) for p50, rss, f in
-            [(0.30, 41.0, 0), (0.50, 40.0, 2), (0.31, 42.0, 0)]]
+    runs = [result_of(line(p50, rss, failed=f, ops=n)) for p50, rss, f, n in
+            [(0.30, 41.0, 0, 900), (0.50, 40.0, 2, 700), (0.31, 42.0, 0, 800)]]
     side = combine(runs)
+    assert side["attempted"] == 800
     assert side["metrics"]["latency_ms.p50"] == {"value": 0.31, "unit": "ms"}
     assert side["metrics"]["peak_rss_mb"] == {"value": 41.0, "unit": "MB"}
     assert side["correct"] is True and side["failed"] == 2 and side["runs"] == runs
@@ -89,7 +98,7 @@ def test_main_alternates_sides_and_takes_the_median_of_the_processes(tmp_path, m
         calls.append((side, seed, seconds))
         n = sum(c[:2] == (side, seed) for c in calls)  # this side's nth process for the seed
         p50 = (1.0 if side == "parent" else 0.8) + 0.01 * n
-        return result_of(line(p50, 40.0))
+        return result_of(line(p50, 40.0, ops=(100 if side == "parent" else 200) + n))
 
     monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
     out = tmp_path / "out.json"
@@ -108,6 +117,7 @@ def test_main_alternates_sides_and_takes_the_median_of_the_processes(tmp_path, m
         assert p["change"]["metrics"]["latency_ms.p50"]["value"] == pytest.approx(0.8 + 0.01 * median_n)
     summary = doc["summary"]["task-scripted"]
     assert summary["pairs"] == 2 and summary["all_correct"] is True
+    assert summary["ops"] == {"parent_median": 100 + median_n, "change_median": 200 + median_n}
     assert summary["latency_ms.p50"]["change_better_pairs"] == 2
 
 

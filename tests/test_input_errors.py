@@ -225,6 +225,11 @@ class TestLoaderBranches:
          "row 0 scores must be a nonempty object"),
         ("scores", ("rows", 0, "scores"), "[1]", ("plan-task",),
          "row 0 scores must be a nonempty object"),
+        ("config", ("scorer",), '{"kind": "scripted"}', ("plan-task",),
+         "scripted scorer needs a path"),
+        ("config", ("max_steps",), "0", ("plan-task",), "max_steps must be a positive integer"),
+        ("config", ("max_steps",), "true", ("plan-task",), "max_steps must be a positive integer"),
+        ("config", ("format",), '"yaml"', ("plan-task",), "format must be human or json"),
     ])
     def test_exit_2_with_the_message(self, tmp_path, name, path, literal, command, message):
         write_scenario(tmp_path, **{name: with_literal(name, path, literal)})

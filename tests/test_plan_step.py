@@ -13,8 +13,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semplan.errors import PlanTooLong
-from semplan.scorer import ScoreRequest, ScoreResponse, normalize
+from semplan.errors import PlanTooLong, ScorerFailure
+from semplan.scorer import ScoreRequest, ScoreResponse, ScriptedScorer, load_scenario, normalize
 from semplan.semantic_map import OPERATOR, load_map
 from semplan.skills import (
     Command,
@@ -30,6 +30,7 @@ from semplan.skills import (
 from semplan.skills import _admissible, _name_runs
 
 from mapgen import random_grid_map
+from oracles import subset_scripted_score
 
 
 def reference_ground_candidates(smap, command):
@@ -233,3 +234,40 @@ def test_one_set_of_name_runs_serves_every_history(case, rng):
         got = _admissible(runs, previous, held, found)
         assert got == admissible_skills(universe, history, held, found)
         assert got == reference_admissible_skills(universe, history, held, found)
+
+
+BRING_APPLE = FIXTURES / "scenarios" / "bring_apple"
+
+
+def bring_apple():
+    """The command, grounded universe, scenario and step cap of the bring_apple config."""
+    config = json.loads((BRING_APPLE / "config.json").read_text())
+    smap = load_map((BRING_APPLE / config["map"]).read_text())
+    command = Command(raw=config["command"], resolved=config["command"])
+    scenario = load_scenario((BRING_APPLE / config["scorer"]["path"]).read_text())
+    return command, ground_candidates(smap, command), scenario, config["max_steps"]
+
+
+class SubsetScorer:
+    """A scripted scorer that copies the candidates' entries of every row."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+
+    def score(self, request):
+        return subset_scripted_score(self.scenario, request, ScorerFailure, ScoreResponse)
+
+
+def scores_items(trace):
+    return [[(id(k), repr(v)) for k, v in d.items()] for d in trace.step_scores]
+
+
+class TestScriptedRowsAcrossPlans:
+    def test_planning_twice_with_one_scorer_gives_equal_traces(self):
+        command, universe, scenario, max_steps = bring_apple()
+        expected = reference_plan_task(command, SubsetScorer(scenario), universe, max_steps)
+        scorer = ScriptedScorer(scenario)
+        for _ in range(2):
+            trace = plan_task(command, scorer, universe, max_steps)
+            assert trace.steps == expected.steps
+            assert scores_items(trace) == scores_items(expected)

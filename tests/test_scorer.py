@@ -1,15 +1,17 @@
+import functools
 import json
 import math
 import random
 import socket
 import time
 import urllib.request
+from operator import is_
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semplan.errors import ConfigMissing, ParseError, ScorerFailure
+from semplan.errors import ConfigMissing, ParseError, ScorerFailure, ValidationError
 from semplan.scorer import (
     DEFAULT_MODEL,
     LlmConfig,
@@ -29,6 +31,7 @@ from semplan.scorer import (
 from semplan.skills import SKILL_ARITIES, SkillInstance, parse_skill
 
 from mockllm import MockLlmServer
+from oracles import subset_scripted_score
 
 
 def request_for(*texts, command="Bring me the apple", history=()):
@@ -244,6 +247,107 @@ class TestScriptedScorer:
         assert set(response.scores) == {parse_skill("done")}
 
 
+ROW_TEXTS = ("answer(cup)", "done", "find_obj(apple)", "follow_person", "grasp(apple)",
+             "handover", "move_to(kitchen)", "place(table)")
+ROW_VALUES = st.one_of(
+    st.floats(0.0, 10.0),
+    st.sampled_from([0.0, 0, -0.0, 3, -1.0]),
+    st.floats(1e307, 1.7e308),  # two of these overflow a sum
+)
+ROW_KINDS = ("exact", "extra", "reordered", "plain", "missing")
+
+
+@st.composite
+def scripted_runs(draw):
+    """A scenario with rows of every kind, and requests at a row's own
+    candidates, at other candidates, or past the last row."""
+    skills = [skill_key(t) for t in ROW_TEXTS]
+    candidate_lists = st.lists(st.sampled_from(skills), min_size=1, max_size=6, unique=True)
+    rows, own = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        candidates = draw(candidate_lists)
+        keys = list(candidates)
+        kind = draw(st.sampled_from(ROW_KINDS))
+        if kind == "extra" and len(keys) < len(skills):
+            others = [s for s in skills if s not in keys]
+            for skill in draw(st.lists(st.sampled_from(others), min_size=1, unique=True)):
+                keys.insert(draw(st.integers(0, len(keys))), skill)
+        elif kind == "reordered":
+            keys = draw(st.permutations(keys))
+        elif kind == "plain":
+            keys = [tuple(k) for k in keys]  # equal to the skills, not the skills
+        elif kind == "missing" and len(keys) > 1:
+            del keys[draw(st.integers(0, len(keys) - 1))]
+        values = draw(st.lists(ROW_VALUES, min_size=len(keys), max_size=len(keys)))
+        rows.append(dict(zip(keys, values)))
+        own.append(tuple(candidates))
+    requests = []
+    for _ in range(draw(st.integers(1, 10))):
+        step = draw(st.integers(0, len(rows)))
+        if step < len(rows) and draw(st.booleans()):
+            candidates = own[step]
+        else:
+            candidates = draw(candidate_lists)
+        requests.append(ScoreRequest("x", (skill_key("done"),) * step, candidates))
+    return ("x", tuple(rows)), requests
+
+
+def score_outcome(score, request):
+    """The scores' keys (by identity) and values (by repr), or the error's type and text."""
+    try:
+        response = score(request)
+    except Exception as err:  # noqa: BLE001 - the type and text are compared
+        return type(err), str(err)
+    assert type(response) is ScoreResponse
+    return [(id(k), repr(v)) for k, v in response.scores.items()]
+
+
+class TestExactRows:
+    """A row whose keys are the candidates is the response; any other row is copied."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scripted_runs())
+    def test_same_items_or_error_as_the_subset_copy(self, run):
+        scenario, requests = run
+        scorer = ScriptedScorer(scenario)
+        reference = functools.partial(
+            subset_scripted_score, scenario, failure=ScorerFailure, response=ScoreResponse)
+        for request in requests:
+            assert score_outcome(scorer.score, request) == score_outcome(reference, request)
+
+    def test_an_exact_row_is_the_response(self):
+        rows = load_scenario(json.dumps(SCENARIO_DOC))[1]
+        scorer = ScriptedScorer(("Bring me the apple", rows))
+        request = ScoreRequest("Bring me the apple", (), tuple(rows[0]))
+        for _ in range(2):
+            assert scorer.score(request).scores is rows[0]
+
+    def test_other_rows_are_copied(self):
+        rows = load_scenario(json.dumps(SCENARIO_DOC))[1]
+        scorer = ScriptedScorer(("Bring me the apple", rows))
+        for candidates in (tuple(rows[0])[::-1], tuple(rows[0])[:1], tuple(map(tuple, rows[0]))):
+            response = scorer.score(ScoreRequest("Bring me the apple", (), candidates))
+            assert response.scores is not rows[0]
+            assert list(response.scores) == list(candidates)
+            assert all(map(is_, response.scores, candidates))
+
+    @pytest.mark.parametrize("values, message", [
+        ([0.0, 0], "all scores are zero"),
+        ([1.0, -1.0], "negative score for done"),
+    ])
+    def test_a_refused_exact_row_is_refused_at_every_use(self, values, message):
+        candidates = (skill_key("answer(cup)"), skill_key("done"))
+        scorer = ScriptedScorer(("x", (dict(zip(candidates, values)),)))
+        for _ in range(2):
+            with pytest.raises(ScorerFailure, match=f"^{message}$"):
+                scorer.score(ScoreRequest("x", (), candidates))
+
+    def test_an_exact_row_whose_sum_overflows_is_accepted(self):
+        candidates = (skill_key("answer(cup)"), skill_key("done"))
+        row = dict(zip(candidates, [1e308, 1e308]))
+        assert ScriptedScorer(("x", (row,))).score(ScoreRequest("x", (), candidates)).scores is row
+
+
 SKILL_TEXT = st.text(alphabet="(),_ amo", max_size=6)
 
 
@@ -351,6 +455,18 @@ class TestLoadScenario:
         doc = {"command": "x", "rows": [{"history_length": 0, "scores": {"done": True}}]}
         with pytest.raises(ParseError):
             load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("scores, error, message", [
+        ({"done": -1.0, "handover": "x"}, ParseError, "row 0 score handover: expected a number"),
+        ({"done": -1.0, "handover": math.nan}, ValidationError, "handover: not a finite number"),
+        ({"done": 1, "handover": -0.5}, ValidationError, "handover: negative"),
+        ({"done": -0.5, "handover": 1}, ValidationError, "done: negative"),
+    ])
+    def test_type_and_finiteness_errors_come_before_negatives(self, scores, error, message):
+        doc = {"command": "x", "rows": [{"history_length": 0, "scores": scores}]}
+        with pytest.raises(error) as err:
+            load_scenario(json.dumps(doc))
+        assert str(err.value).endswith(message)
 
 
 class TestConfig:
@@ -557,6 +673,11 @@ class TestSuffixLogprobSum:
     @pytest.mark.parametrize("logprob", [800, 1e-300])
     def test_positive_logprob_rejected(self, logprob):
         with pytest.raises(ScorerFailure):
+            _suffix_logprob_sum(reply([0, 5, 9], [None, -0.5, logprob]), 5)
+
+    @pytest.mark.parametrize("logprob", [None, "x", math.nan, -math.inf])
+    def test_missing_or_non_finite_logprob_rejected(self, logprob):
+        with pytest.raises(ScorerFailure, match="^missing logprob for a candidate token$"):
             _suffix_logprob_sum(reply([0, 5, 9], [None, -0.5, logprob]), 5)
 
     def test_zero_logprob_accepted(self):

@@ -10,10 +10,10 @@ its processes, so one process that runs slow throughout moves it less.
 Pair k uses seed SEED_BASE + k; an odd seed runs the change first, an even
 seed the parent first, and with several processes the sides take turns,
 so a slow spell on a shared machine does not always land on the same side.
-The output holds every result line and, per workload and end-to-end metric
-of the parent's BENCHMARK.json, the medians of both sides, the parent's
-interquartile range, the number of pairs the change won and the relative
-change of the medians. It is rewritten after every pair.
+The output holds every result line and, per workload, each side's median
+op count and, per end-to-end metric of the parent's BENCHMARK.json, the
+medians of both sides, the parent's interquartile range, the number of
+pairs the change won and the relative change of the medians. It is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -47,14 +47,16 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 def combine(results: list) -> dict:
     """One side of a pair from its processes' result lines: each metric's
-    median, correct only if every run was, the failures summed, and the
-    lines themselves under "runs"."""
+    median, the median of their "attempted" (the op count of a --trace 0
+    run), correct only if every run was, the failures summed, and the lines
+    themselves under "runs"."""
     metrics = {}
     for name, first in results[0]["metrics"].items():
         values = [r["metrics"][name]["value"] for r in results]
         metrics[name] = {"value": statistics.median(values), "unit": first["unit"]}
     return {"correct": all(r["correct"] for r in results),
             "failed": sum(r["failed"] for r in results),
+            "attempted": statistics.median(r["attempted"] for r in results),
             "metrics": metrics, "runs": results}
 
 
@@ -63,8 +65,10 @@ def _better(a: float, b: float, direction: str) -> bool:
 
 
 def summarize(pairs: list, metrics: list) -> dict:
-    """Per workload: pair count, whether every run was correct, and per metric
-    the medians, the parent's IQR, the change's wins and the relative change."""
+    """Per workload: pair count, whether every run was correct, each side's
+    median op count (a run that does more ops in its fixed time keeps more
+    per-op data, which shows in peak_rss_mb), and per metric the medians,
+    the parent's IQR, the change's wins and the relative change."""
     summary = {}
     for workload in sorted({p["workload"] for p in pairs}):
         mine = [p for p in pairs if p["workload"] == workload]
@@ -72,6 +76,8 @@ def summarize(pairs: list, metrics: list) -> dict:
             "pairs": len(mine),
             "all_correct": all(p[s]["correct"] and p[s]["failed"] == 0
                                for p in mine for s in SIDES),
+            "ops": {f"{s}_median": statistics.median(p[s]["attempted"] for p in mine)
+                    for s in SIDES},
         }
         for metric in metrics:
             name = metric["name"]
@@ -135,7 +141,8 @@ def main(argv=None) -> int:
             doc["pairs"].append(pair)
             doc["summary"] = summarize(doc["pairs"], spec["end_to_end"])
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
-            print(f"{workload} seed {seed}: " + ", ".join(
+            print(f"{workload} seed {seed}: ops {pair['parent']['attempted']:.0f} -> "
+                  f"{pair['change']['attempted']:.0f}, " + ", ".join(
                 f"{m['name']} {pair['parent']['metrics'][m['name']]['value']:.4g} -> "
                 f"{pair['change']['metrics'][m['name']]['value']:.4g}"
                 for m in spec["end_to_end"]), flush=True)
