@@ -46,10 +46,14 @@ class ScoreRequest(namedtuple("ScoreRequest", "command history candidates")):
 _NUMBER_TYPES = frozenset({int, float, bool})
 
 
-class ScoreResponse(namedtuple("ScoreResponse", "scores")):
-    """Raw nonnegative scores, keyed by candidate.
+class ScoreResponse(namedtuple("ScoreResponse", "scores probabilities")):
+    """Raw nonnegative scores keyed by candidate, and each score divided by
+    their sum, in the order of scores.
 
-    Read-only: a scripted response's scores are its scenario row itself.
+    Built from the scores alone: _make, _replace and pickle check them again
+    and recompute the probabilities. Read-only: a scripted response's scores
+    are its scenario row itself, and ScriptedScorer hands one response to
+    every use of that row.
     """
 
     __slots__ = ()
@@ -65,7 +69,7 @@ class ScoreResponse(namedtuple("ScoreResponse", "scores")):
             valid = (
                 _NUMBER_TYPES.issuperset(map(type, values))
                 and min(values) >= 0
-                and math.isfinite(sum(values))
+                and math.isfinite(total := sum(values))
                 and any(values)
             )
         except OverflowError:  # an int too large for a float
@@ -80,9 +84,25 @@ class ScoreResponse(namedtuple("ScoreResponse", "scores")):
                 positive = positive or value > 0
             if not positive:
                 raise ScorerFailure("all scores are zero")
-        return tuple.__new__(cls, (scores,))
+            try:
+                total = sum(values)
+            except OverflowError:  # an int sum past the largest float met a float
+                total = math.inf
+            if total == math.inf:
+                # Finite scores whose float sum overflows: divided by the
+                # largest first, which keeps their order and so the argmax.
+                top = max(values)
+                values = [value / top for value in values]
+                total = sum(values)
+        return tuple.__new__(cls, (scores, tuple([value / total for value in values])))
 
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
+    @classmethod
+    def _make(cls, iterable):
+        scores, *_ = iterable  # the probabilities are recomputed
+        return cls(scores)
+
+    def __reduce__(self):
+        return type(self), (self.scores,)
 
 
 def _finite(value) -> bool:
@@ -93,9 +113,8 @@ def _finite(value) -> bool:
 
 
 def normalize(response: ScoreResponse) -> dict:
-    """Scores divided by their sum; the result sums to 1."""
-    total = sum(response.scores.values())
-    return {candidate: value / total for candidate, value in response.scores.items()}
+    """A fresh dict of each candidate's probability; the values sum to 1."""
+    return dict(zip(response.scores, response.probabilities))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -159,12 +178,14 @@ class ScriptedScorer:
     the run.
 
     A row whose keys are the request's candidates themselves, in order, is
-    returned as the response's scores without a copy. Rows and responses
-    are read-only.
+    the response's scores without a copy, and that response is checked on
+    the row's first use and returned at every later one; a refused row is
+    refused at every use. Rows and responses are read-only.
     """
 
     def __init__(self, scenario: tuple[str, tuple]):
         self.command, self.rows = scenario
+        self._responses = [None] * len(self.rows)
 
     def describe(self) -> dict:
         return {"scorer": "scripted"}
@@ -182,7 +203,10 @@ class ScriptedScorer:
         candidates = request.candidates
         if len(table) == len(candidates) and all(map(is_, table, candidates)):
             # The same items in the same order as the subset below.
-            return ScoreResponse(table)
+            response = self._responses[step]
+            if response is None:
+                response = self._responses[step] = ScoreResponse(table)
+            return response
         try:
             scores = {c: table[c] for c in candidates}
         except KeyError as err:

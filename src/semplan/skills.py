@@ -311,9 +311,8 @@ def _step(command: Command, history: tuple, scorer, runs: tuple):
         if not all(type(k) is SkillInstance for k in scores) or set(scores) != set(candidates):
             raise ScorerFailure("scorer must score exactly the candidates")
         response = ScoreResponse({c: scores[c] for c in candidates})
-    distribution = normalize(response)
-    values = list(distribution.values())
-    return candidates[values.index(max(values))], distribution
+    p = response.probabilities
+    return candidates[p.index(max(p))], normalize(response)
 
 
 def plan_next(command: Command, trace: PlanTrace, scorer, skill_set) -> SkillInstance:

@@ -149,6 +149,16 @@ class TestPlanPath:
         )
         assert rc == 2
 
+    def test_comma_goal_that_is_not_a_point_is_a_furniture_name(self, fixtures_dir, capsys):
+        rc = main(
+            [
+                "plan-path", maps(fixtures_dir, "golden_arena.json"),
+                "--start", "1", "5", "--goal", "a,b",
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: a,b\n"
+
     def test_start_outside(self, fixtures_dir):
         rc = main(
             [

@@ -16,6 +16,7 @@ from semplan.geometry import (
     cross,
     euclidean,
     point_in_polygon,
+    scanline_midpoint,
     validate_polygon,
 )
 
@@ -223,6 +224,15 @@ class TestPointInPolygonOneWalk:
             for v in poly.vertices:
                 self.check(v, poly)
 
+    def test_agrees_on_an_edge_whose_squared_length_underflows(self):
+        # The first edge is 1e-170 long: its squared length is 0.0, so the
+        # distance to it is taken from its start.
+        poly = validate_polygon([(0.0, 0.0), (1e-170, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        for p, expected in [((5.0, 5.0), "outside"), ((0.2, 0.5), "inside"),
+                            ((0.0, 0.5), "boundary"), ((1e-171, 0.0), "boundary")]:
+            self.check(Point2(*p), poly)
+            assert point_in_polygon(Point2(*p), poly).value == expected
+
 
 def two_walk_centroid(vertices):
     """centroid's outcome from two walks, the area and then the moments.
@@ -335,6 +345,26 @@ class TestCentroid:
             assert point_in_polygon(centroid(poly), poly) is not Containment.OUTSIDE
 
 
+class TestScanlineMidpoint:
+    def test_midpoint_of_the_line_between_vertex_heights(self):
+        rect = validate_polygon([(0, 0), (4, 0), (4, 3), (0, 3)])
+        assert scanline_midpoint(rect, 1.0) == Point2(2.0, 1.5)
+
+    @pytest.mark.parametrize("y", [100.0, -7.0])
+    def test_a_height_outside_the_polygon_misses_the_interior(self, y):
+        rect = validate_polygon([(0, 0), (4, 0), (4, 3), (0, 3)])
+        with pytest.raises(DegeneratePolygon) as err:
+            scanline_midpoint(rect, y)
+        assert str(err.value) == f"no interior near the line y = {y}"
+
+    def test_a_crossing_that_overflows(self):
+        # The edge from (1e308, 1) to (-1e308, 2) spans more x than a float holds.
+        poly = validate_polygon([(0.0, 0.0), (1e308, 1.0), (-1e308, 2.0)])
+        with pytest.raises(DegeneratePolygon) as err:
+            scanline_midpoint(poly, 1.5)
+        assert str(err.value) == "interior point overflows a float"
+
+
 class TestValidatePolygon:
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_a_plain_value_with_no_instance_dict(self, protocol):
@@ -378,6 +408,21 @@ class TestValidatePolygon:
         with pytest.raises(InvalidPolygon) as err:
             validate_polygon([(0, 0), (1, 0), (2, 0)])
         assert err.value.reason == "SelfIntersecting"
+
+    @pytest.mark.parametrize("contour, message", [
+        # The first edge starts on a later edge, collinear with it.
+        ([(0, 1), (1, 0), (0, 0), (0, 2)], "SelfIntersecting: edges 0 and 2 cross"),
+        # A later edge starts on the first: edge 1 doubles back along edge 0,
+        # which the adjacent-edge test misses because its cross product,
+        # taken about (0.4, 0.5), rounds away from zero.
+        ([(0.0, 0.1), (0.4, 0.5), (0.1, 0.2), (0.0, 0.7)], "SelfIntersecting: edges 0 and 2 cross"),
+        # A later edge ends on the first.
+        ([(0, 0), (0, 2), (1, 0), (0, 1)], "SelfIntersecting: edges 0 and 2 cross"),
+    ])
+    def test_collinear_touch_rejected(self, contour, message):
+        with pytest.raises(InvalidPolygon) as err:
+            validate_polygon(contour)
+        assert str(err.value) == message
 
     def test_repeated_nonconsecutive_vertex_rejected(self):
         with pytest.raises(InvalidPolygon):

@@ -230,6 +230,11 @@ class TestLoaderBranches:
         ("config", ("max_steps",), "0", ("plan-task",), "max_steps must be a positive integer"),
         ("config", ("max_steps",), "true", ("plan-task",), "max_steps must be a positive integer"),
         ("config", ("format",), '"yaml"', ("plan-task",), "format must be human or json"),
+        ("map", ("rooms", 0, "contour"), '"square"', VALIDATE, "kitchen: contour must be an array"),
+        ("map", ("doors",), "{}", VALIDATE, "doors must be an array"),
+        ("map", ("rooms", 0, "name"), "5", VALIDATE, "rooms[0]: name must be a string"),
+        ("config", ("scorer", "kind"), '"oracle"', ("plan-task",),
+         "scorer must be {kind: scripted|llm, ...}"),
     ])
     def test_exit_2_with_the_message(self, tmp_path, name, path, literal, command, message):
         write_scenario(tmp_path, **{name: with_literal(name, path, literal)})

@@ -8,6 +8,7 @@ floats) and raise PlanTooLong in the same cases.
 
 import json
 import random
+from operator import is_
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -271,3 +272,28 @@ class TestScriptedRowsAcrossPlans:
             trace = plan_task(command, scorer, universe, max_steps)
             assert trace.steps == expected.steps
             assert scores_items(trace) == scores_items(expected)
+
+    def test_two_plans_share_responses_but_not_distributions(self):
+        command, universe, scenario, max_steps = bring_apple()
+        scorer = ScriptedScorer(scenario)
+        responses = []
+
+        class Recording:
+            def score(self, request):
+                responses.append(scorer.score(request))
+                return responses[-1]
+
+        first = plan_task(command, Recording(), universe, max_steps)
+        second = plan_task(command, Recording(), universe, max_steps)
+        steps = len(first.steps)
+        assert len(responses) == 2 * steps
+        for step, (a, b) in enumerate(zip(responses[:steps], responses[steps:])):
+            assert a is b and a.scores is scenario[1][step]
+        assert first == second
+        assert not any(map(is_, first.step_scores, second.step_scores))
+        expected = scores_items(second)
+        for distribution in first.step_scores:
+            for candidate in distribution:
+                distribution[candidate] = 0.0
+        assert scores_items(second) == expected
+        assert scores_items(plan_task(command, scorer, universe, max_steps)) == expected

@@ -1,6 +1,8 @@
+import copy
 import functools
 import json
 import math
+import pickle
 import random
 import socket
 import time
@@ -69,6 +71,50 @@ class TestScoreTypes:
             ScoreResponse({parse_skill("done"): 10**400})
 
 
+class TestScoreResponseRecord:
+    """A response is built from its scores alone: _make, _replace, pickle and
+    copy check them again and recompute the probabilities."""
+
+    done, handover = parse_skill("done"), parse_skill("handover")
+
+    def test_probabilities_follow_the_scores(self):
+        response = ScoreResponse({self.handover: 3, self.done: 1.0})
+        assert response.probabilities == (0.75, 0.25)
+
+    def test_replace_rechecks_and_recomputes(self):
+        response = ScoreResponse({self.done: 1.0, self.handover: 3.0})
+        assert response._replace(probabilities=(0.5, 0.5)).probabilities == (0.25, 0.75)
+        assert response._replace(scores={self.done: 2.0}).probabilities == (1.0,)
+        with pytest.raises(ScorerFailure, match="^negative score for done$"):
+            response._replace(scores={self.done: -1.0})
+        with pytest.raises(ValueError):
+            response._replace(score={self.done: 2.0})
+
+    def test_make_rechecks_and_recomputes(self):
+        scores = {self.done: 1.0, self.handover: 1.0}
+        assert ScoreResponse._make([scores, (0.9, 0.1)]).probabilities == (0.5, 0.5)
+        assert ScoreResponse._make([scores]) == (scores, (0.5, 0.5))
+        with pytest.raises(ScorerFailure, match="^all scores are zero$"):
+            ScoreResponse._make([{self.done: 0.0}, (1.0,)])
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_rechecks_and_recomputes(self, protocol):
+        scores = {self.done: 1.0, self.handover: 3.0}
+        response = ScoreResponse(scores)
+        again = pickle.loads(pickle.dumps(response, protocol))
+        assert type(again) is ScoreResponse and again == response
+        forged = tuple.__new__(ScoreResponse, (scores, (0.9, 0.1)))
+        assert pickle.loads(pickle.dumps(forged, protocol)).probabilities == (0.25, 0.75)
+        refused = tuple.__new__(ScoreResponse, ({self.done: -1.0}, (1.0,)))
+        with pytest.raises(ScorerFailure, match="^negative score for done$"):
+            pickle.loads(pickle.dumps(refused, protocol))
+
+    def test_copy_rechecks_and_recomputes(self):
+        forged = tuple.__new__(ScoreResponse, ({self.done: 1.0, self.handover: 3.0}, (0.9, 0.1)))
+        for duplicate in (copy.copy, copy.deepcopy):
+            assert duplicate(forged).probabilities == (0.25, 0.75)
+
+
 def reference_check(scores: dict) -> None:
     """ScoreResponse's entry-by-entry check as it was before the one-pass check."""
     if not scores:
@@ -127,6 +173,7 @@ class TestScoreResponseCheck:
     @example([-0.0, 0])
     @example([1.0, float("nan")])
     @example([False, True])
+    @example([2**1023, 2**1023, -0.0])
     def test_same_outcome_as_the_per_entry_loop(self, values):
         scores = {parse_skill(f"find_obj(x{i})"): v for i, v in enumerate(values)}
         assert outcome(ScoreResponse, scores) == outcome(reference_check, scores)
@@ -159,6 +206,33 @@ class TestNormalize:
             for skill in skills:
                 assert abs(base[skill] - scaled[skill]) <= 1e-12
 
+    def test_a_sum_that_overflows_is_normalized_by_the_largest_first(self):
+        done, handover = parse_skill("done"), parse_skill("handover")
+        table = {done: 1e308, handover: 1.5e308}
+        for scores in (table, {s: v / 2 for s, v in table.items()}):
+            got = normalize(ScoreResponse(scores))
+            assert abs(got[done] - 0.4) <= 1e-12 and abs(got[handover] - 0.6) <= 1e-12
+
+    def test_an_int_sum_past_the_largest_float(self):
+        a, b, c = (parse_skill(f"find_obj(x{i})") for i in range(3))
+        # The exact int sum 2**1024 meets -0.0, and no float holds it.
+        assert ScoreResponse({a: 2**1023, b: 2**1023, c: -0.0}).probabilities == (0.5, 0.5, 0.0)
+        # Ints alone are summed exactly and divided as ints.
+        assert ScoreResponse({a: 2**1023, b: 2**1023, c: 0}).probabilities == (0.5, 0.5, 0.0)
+
+    def test_overflowing_tables_sum_to_one_and_halving_keeps_the_argmax(self):
+        rng = random.Random(10)
+        for _ in range(200):
+            skills = [parse_skill(f"find_obj(x{i})") for i in range(rng.randint(2, 9))]
+            raw = {s: rng.uniform(9e307, 1.7e308) for s in skills}
+            assert sum(raw.values()) == math.inf
+            full = ScoreResponse(raw).probabilities
+            half = ScoreResponse({s: v / 2 for s, v in raw.items()}).probabilities
+            assert abs(sum(full) - 1.0) <= 1e-9
+            assert full.index(max(full)) == half.index(max(half))
+            for p, q in zip(full, half):
+                assert abs(p - q) <= 1e-12
+
 
 def comprehension_normalize(scores: dict) -> dict:
     total = sum(scores.values())
@@ -190,6 +264,7 @@ class TestNormalizeBitwise:
         got, expected = normalize(response), comprehension_normalize(scores)
         assert list(got) == list(expected) == candidates
         assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()]
+        assert [p.hex() for p in response.probabilities] == [v.hex() for v in expected.values()]
 
 
 SCENARIO_DOC = {
@@ -293,13 +368,15 @@ def scripted_runs(draw):
 
 
 def score_outcome(score, request):
-    """The scores' keys (by identity) and values (by repr), or the error's type and text."""
+    """The scores' keys (by identity) and values (by repr) with the
+    probabilities' bits, or the error's type and text."""
     try:
         response = score(request)
     except Exception as err:  # noqa: BLE001 - the type and text are compared
         return type(err), str(err)
     assert type(response) is ScoreResponse
-    return [(id(k), repr(v)) for k, v in response.scores.items()]
+    return ([(id(k), repr(v)) for k, v in response.scores.items()],
+            [p.hex() for p in response.probabilities])
 
 
 class TestExactRows:
@@ -321,6 +398,18 @@ class TestExactRows:
         request = ScoreRequest("Bring me the apple", (), tuple(rows[0]))
         for _ in range(2):
             assert scorer.score(request).scores is rows[0]
+
+    def test_one_response_per_exact_row_and_scorer(self):
+        rows = load_scenario(json.dumps(SCENARIO_DOC))[1]
+        scenario = ("Bring me the apple", rows)
+        scorer = ScriptedScorer(scenario)
+        requests = [ScoreRequest("Bring me the apple", (skill_key("done"),) * step, tuple(row))
+                    for step, row in enumerate(rows)]
+        first = [scorer.score(request) for request in requests]
+        again = [scorer.score(request) for request in requests[::-1]][::-1]
+        assert all(map(is_, again, first))
+        other = ScriptedScorer(scenario).score(requests[0])
+        assert other == first[0] and other is not first[0]
 
     def test_other_rows_are_copied(self):
         rows = load_scenario(json.dumps(SCENARIO_DOC))[1]
@@ -345,7 +434,8 @@ class TestExactRows:
     def test_an_exact_row_whose_sum_overflows_is_accepted(self):
         candidates = (skill_key("answer(cup)"), skill_key("done"))
         row = dict(zip(candidates, [1e308, 1e308]))
-        assert ScriptedScorer(("x", (row,))).score(ScoreRequest("x", (), candidates)).scores is row
+        response = ScriptedScorer(("x", (row,))).score(ScoreRequest("x", (), candidates))
+        assert response.scores is row and response.probabilities == (0.5, 0.5)
 
 
 SKILL_TEXT = st.text(alphabet="(),_ amo", max_size=6)

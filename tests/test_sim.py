@@ -12,7 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semplan import semantic_map, sim
-from semplan.errors import InvalidGoalSpec, NoPath, OutsideArena, ParseError, ValidationError
+from semplan.errors import (
+    InvalidGoalSpec,
+    NoPath,
+    OutsideArena,
+    ParseError,
+    UnknownSkill,
+    ValidationError,
+)
 from semplan.geometry import Point2, centroid, euclidean
 from semplan.nav import plan_path
 from semplan.semantic_map import (
@@ -42,7 +49,7 @@ from semplan.sim import (
     load_world,
     run_plan,
 )
-from semplan.skills import parse_skill
+from semplan.skills import SkillInstance, parse_skill
 
 from mapgen import CELL_H, CELL_W, random_grid_map, random_point_in
 
@@ -127,6 +134,12 @@ class TestApplySkill:
         after, outcome = apply_skill(closed, world, parse_skill("move_to(room_b)"))
         assert outcome.reason == NO_PATH
         assert after.robot == Point2(0, 0)
+
+    def test_a_skill_built_around_its_check_is_unknown(self, golden_map, golden_world):
+        # SkillInstance refuses this name, so only a forged instance gets here.
+        forged = tuple.__new__(SkillInstance, ("fly", ()))
+        with pytest.raises(UnknownSkill, match="^simulator has no semantics for fly$"):
+            apply_skill(golden_map, golden_world, forged)
 
     def test_move_to_unknown_location(self, golden_map, golden_world):
         _, outcome = apply_skill(golden_map, golden_world, parse_skill("move_to(garage)"))
